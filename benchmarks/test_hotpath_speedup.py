@@ -54,7 +54,10 @@ def make_workload(seed=23):
     batch = MiniBatch(dense=log.dense, sparse=log.sparse, labels=log.labels)
     rng = np.random.default_rng(seed)
     bag = EmbeddingBag(
-        CONFIG.dataset.rows_per_table[0], CONFIG.embedding_dim, np.random.default_rng(0)
+        CONFIG.dataset.rows_per_table[0],
+        CONFIG.embedding_dim,
+        np.random.default_rng(0),
+        dtype=np.float64,
     )
     indices = batch.sparse[:, 0, :]
     grad_output = rng.normal(size=(BATCH_SIZE, CONFIG.embedding_dim))

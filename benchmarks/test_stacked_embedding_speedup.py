@@ -78,7 +78,7 @@ def sparse_path_best_of(num_tables, batch_size, *, dim=16, rows=1200, rounds=7):
     rng = np.random.default_rng(num_tables * 100_003 + batch_size)
     def make_tables():
         return [
-            EmbeddingBag(rows, dim, np.random.default_rng(t))
+            EmbeddingBag(rows, dim, np.random.default_rng(t), dtype=np.float64)
             for t in range(num_tables)
         ]
 

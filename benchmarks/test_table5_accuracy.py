@@ -2,7 +2,13 @@
 
 Paper claim: the metrics are *identical* between the baseline and Hotline on
 every dataset, because Hotline only reorders inputs within a mini-batch.
+The parity check trains in float64 (``dtype_bytes=8``), where reordering
+moves no metric by more than ``1e-9``.  A second check trains Hotline in
+float32, the default, and bounds how far each metric may move from the
+float64 run (:data:`FLOAT32_TOLERANCE`).
 """
+
+from dataclasses import replace
 
 import pytest
 
@@ -15,6 +21,12 @@ from repro.models import RM1, RM2, RM4
 from repro.models.dlrm import DLRM
 from repro.models.tbsm import TBSM
 
+#: Largest absolute change of each metric, float32 vs float64 training.
+#: Measured on a 2-core x86-64 host with OpenBLAS: accuracy 0, AUC <= 1.7e-5,
+#: log-loss <= 1.5e-9.  512 held-out samples, so one flipped prediction
+#: moves accuracy by 0.002.
+FLOAT32_TOLERANCE = {"accuracy": 4e-3, "auc": 1e-3, "logloss": 1e-3}
+
 SCALED = [
     ("Criteo Kaggle", RM2.scaled(max_rows_per_table=800), DLRM),
     ("Taobao Alibaba", RM1.scaled(max_rows_per_table=800), TBSM),
@@ -22,9 +34,10 @@ SCALED = [
 ]
 
 
-def run_all():
+def run_all(dtype_bytes=8, *, baseline=True):
     rows = []
     for label, config, model_cls in SCALED:
+        config = replace(config, dtype_bytes=dtype_bytes)
         log = generate_click_log(config.dataset, 2048, seed=51)
         loader = MiniBatchLoader(log, batch_size=256)
         eval_batch = log.batch(1536, 512)
@@ -37,11 +50,13 @@ def run_all():
         )
         hotline.learning_phase(loader)
         hotline_metrics = hotline.train(loader, epochs=2, eval_batch=eval_batch).final_metrics
-        baseline_metrics = (
-            ReferenceTrainer(model_cls(config, seed=29), lr=0.2)
-            .train(loader, epochs=2, eval_batch=eval_batch)
-            .final_metrics
-        )
+        baseline_metrics = None
+        if baseline:
+            baseline_metrics = (
+                ReferenceTrainer(model_cls(config, seed=29), lr=0.2)
+                .train(loader, epochs=2, eval_batch=eval_batch)
+                .final_metrics
+            )
         rows.append((label, baseline_metrics, hotline_metrics))
     return rows
 
@@ -73,3 +88,15 @@ def test_table5_accuracy_parity(benchmark):
         assert hot["accuracy"] == pytest.approx(base["accuracy"], abs=1e-9), label
         assert hot["auc"] == pytest.approx(base["auc"], abs=1e-9), label
         assert hot["logloss"] == pytest.approx(base["logloss"], abs=1e-9), label
+
+
+def test_table5_float32_quality_within_bound_of_float64():
+    """Training in float32 moves no Table V metric past its stated bound."""
+    rows_64 = run_all(dtype_bytes=8, baseline=False)
+    rows_32 = run_all(dtype_bytes=4, baseline=False)
+    for (label, _, hot_64), (_, _, hot_32) in zip(rows_64, rows_32, strict=True):
+        for metric, bound in FLOAT32_TOLERANCE.items():
+            delta = abs(hot_32[metric] - hot_64[metric])
+            print(f"{label} {metric}: float32 {hot_32[metric]:.6f} "
+                  f"float64 {hot_64[metric]:.6f} |delta| {delta:.2e}")
+            assert delta <= bound, (label, metric)

@@ -155,6 +155,18 @@ def _in_sorted(haystack: np.ndarray, needles: np.ndarray) -> np.ndarray:
     return mask
 
 
+#: ``(width, dtype)`` of a store's gradient values, learned from the first
+#: deferred gradient.  Until then an empty take is zero-width float32 (the
+#: default ``ModelConfig.dtype_bytes``); the pipeline only hands empty takes
+#: out after a deferral, so callers always see the model's layout.
+_UNSEEN_LAYOUT = (0, np.dtype(np.float32))
+
+
+def _empty_gradient(layout: tuple[int, np.dtype]) -> SparseGradient:
+    dim, dtype = layout
+    return SparseGradient(np.empty(0, dtype=np.int64), np.empty((0, dim), dtype=dtype))
+
+
 class ReferencePendingStore:
     """Dict-of-rows deferred write-back store — the bit-parity reference.
 
@@ -174,6 +186,7 @@ class ReferencePendingStore:
         self.rows_per_table = tuple(int(rows) for rows in rows_per_table)
         self._pending: list[dict[int, np.ndarray]] = [{} for _ in self.rows_per_table]
         self._births: list[dict[int, int]] = [{} for _ in self.rows_per_table]
+        self._layout = _UNSEEN_LAYOUT
 
     @property
     def num_tables(self) -> int:
@@ -205,6 +218,7 @@ class ReferencePendingStore:
 
     def defer(self, table: int, grad: SparseGradient, step: int) -> None:
         """Accumulate one merged gradient; new rows are born at ``step``."""
+        self._layout = (grad.values.shape[1], grad.values.dtype)
         pending = self._pending[table]
         births = self._births[table]
         for row, value in zip(grad.indices.tolist(), grad.values, strict=True):
@@ -241,7 +255,7 @@ class ReferencePendingStore:
         births = self._births[table]
         taken = [int(row) for row in rows if int(row) in pending]
         if not taken:
-            return SparseGradient(np.empty(0, dtype=np.int64), np.empty((0, 0)))
+            return _empty_gradient(self._layout)
         values = np.stack([pending.pop(row) for row in taken], axis=0)
         for row in taken:
             births.pop(row, None)
@@ -321,6 +335,7 @@ class FlatPendingStore:
             deque() for _ in range(num_tables)
         ]
         self._peak_bytes = 0
+        self._layout = _UNSEEN_LAYOUT
 
     @property
     def num_tables(self) -> int:
@@ -388,6 +403,7 @@ class FlatPendingStore:
 
     def defer(self, table: int, grad: SparseGradient, step: int) -> None:
         """Accumulate one merged gradient; new rows are born at ``step``."""
+        self._layout = (grad.values.shape[1], grad.values.dtype)
         if grad.nnz == 0:
             return
         indices = grad.indices
@@ -493,7 +509,7 @@ class FlatPendingStore:
             rows = rows[_in_sorted(pending, rows)]
         slab = self._values[table]
         if rows.size == 0 or slab is None:
-            return SparseGradient(np.empty(0, dtype=np.int64), np.empty((0, 0)))
+            return _empty_gradient(self._layout)
         positions = np.searchsorted(pending, rows)
         slots = self._slots[table][positions]
         values = slab[slots].copy()

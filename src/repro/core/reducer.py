@@ -74,7 +74,7 @@ class Reducer:
             raise ValueError("at least one sample is required")
         first = rows_per_sample[0]
         dim = first.shape[1] if first.ndim == 2 else first.shape[0]
-        output = np.zeros((len(rows_per_sample), dim), dtype=np.float64)
+        output = np.zeros((len(rows_per_sample), dim), dtype=first.dtype)
         for i, rows in enumerate(rows_per_sample):
             output[i] = self.reduce(np.atleast_2d(rows))
         return output

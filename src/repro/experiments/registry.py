@@ -12,7 +12,7 @@ finish in seconds.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.analysis.breakdown import normalised_breakdown
 from repro.baselines import (
@@ -214,6 +214,22 @@ def _fig30_multinode() -> dict:
     return result
 
 
+def _exact_scaling_config():
+    """The scaled RM2 of the functional scaling sweeps, in float64.
+
+    ``fig30f`` and ``fig30r`` report losses that are identical at every
+    node count (Eq. 5 across shards).  More shards re-associate the
+    gradient sums; in float64 that moves no loss past a relative 1e-9 at
+    this size, in float32 it does, so these two sweeps train at
+    ``dtype_bytes=8``.  They therefore price 8-byte embedding rows, unlike
+    the other figures, while the dense all-reduce stays priced at a fixed
+    4 bytes per value: against 4-byte rows their simulated compute time
+    is about 8 µs (0.1%) higher and fig30r's exposed communication up to
+    29 µs.
+    """
+    return replace(RM2.scaled(max_rows_per_table=600, samples_per_epoch=1024), dtype_bytes=8)
+
+
 def _fig30_functional() -> dict:
     """Multi-node scaling from a *functional* sharded run (fig30 companion).
 
@@ -228,7 +244,7 @@ def _fig30_functional() -> dict:
     result rather than a simulation alone.  ``fig30r`` is the true
     multi-replica counterpart.
     """
-    config = RM2.scaled(max_rows_per_table=600, samples_per_epoch=1024)
+    config = _exact_scaling_config()
     log = generate_click_log(config.dataset, 1024, seed=23)
     loader = MiniBatchLoader(log, batch_size=256)
     result = {}
@@ -277,7 +293,7 @@ def _fig30_replicated() -> dict:
     reported ``replica_drift`` is exactly ``0.0`` — identical updates keep
     the K replicas bit-identical even under staleness.
     """
-    config = RM2.scaled(max_rows_per_table=600, samples_per_epoch=1024)
+    config = _exact_scaling_config()
     log = generate_click_log(config.dataset, 1024, seed=23)
     loader = MiniBatchLoader(log, batch_size=256)
     result = {}

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from repro.data.datasets import (
     AVAZU,
     CRITEO_KAGGLE,
@@ -28,6 +30,9 @@ from repro.data.datasets import (
     DatasetSpec,
 )
 from repro.hwsim.units import GB
+
+#: Numeric dtype of every parameter, keyed by ``ModelConfig.dtype_bytes``.
+_NUMPY_DTYPES = {4: np.dtype(np.float32), 8: np.dtype(np.float64)}
 
 
 @dataclass(frozen=True)
@@ -43,7 +48,11 @@ class ModelConfig:
             CTR logit).
         uses_attention: Whether the model is a TBSM (RM1) with an attention
             layer over the time series.
-        dtype_bytes: Bytes per embedding element (4 = fp32 full precision).
+        dtype_bytes: Bytes per parameter element: 4 trains every embedding
+            row and dense parameter in float32, 8 in float64.  The same
+            value prices rows in every DMA, tier and collective cost, so the
+            bytes the simulator moves are the bytes the numerics hold.  No
+            other width has a numeric path, so construction rejects it.
     """
 
     name: str
@@ -53,6 +62,17 @@ class ModelConfig:
     top_mlp: str
     uses_attention: bool = False
     dtype_bytes: int = 4
+
+    def __post_init__(self) -> None:
+        if self.dtype_bytes not in _NUMPY_DTYPES:
+            raise ValueError(
+                f"dtype_bytes must be 4 (float32) or 8 (float64), got {self.dtype_bytes!r}"
+            )
+
+    @property
+    def numpy_dtype(self) -> np.dtype:
+        """Numeric dtype of every parameter: float32 or float64."""
+        return _NUMPY_DTYPES[self.dtype_bytes]
 
     @property
     def num_dense_features(self) -> int:

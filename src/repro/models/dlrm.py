@@ -65,6 +65,8 @@ class DLRM:
                 loop as the parity reference.
         """
         self.config = config
+        #: Numeric dtype of every parameter and activation (float32/float64).
+        self.dtype = config.numpy_dtype
         rng = np.random.default_rng(seed)
         bottom_sizes = [int(tok) for tok in config.bottom_mlp.split("-")]
         if bottom_sizes[0] != config.num_dense_features:
@@ -77,14 +79,14 @@ class DLRM:
                 "bottom MLP output size must equal the embedding dimension "
                 f"({bottom_sizes[-1]} != {config.embedding_dim})"
             )
-        self.bottom_mlp = MLP(bottom_sizes, rng)
+        self.bottom_mlp = MLP(bottom_sizes, rng, dtype=self.dtype)
         self.tables: list[EmbeddingBag] = [
-            EmbeddingBag(rows, config.embedding_dim, rng, name=f"table_{i}")
+            EmbeddingBag(rows, config.embedding_dim, rng, name=f"table_{i}", dtype=self.dtype)
             for i, rows in enumerate(config.dataset.rows_per_table)
         ]
         top_hidden = [int(tok) for tok in config.top_mlp.split("-")]
         top_input = interaction_output_dim(config.embedding_dim, config.num_sparse_features)
-        self.top_mlp = MLP([top_input] + top_hidden, rng)
+        self.top_mlp = MLP([top_input] + top_hidden, rng, dtype=self.dtype)
         self.stacked: StackedEmbeddingStore | None = (
             StackedEmbeddingStore(self.tables) if stacked else None
         )
@@ -110,7 +112,7 @@ class DLRM:
             raise ValueError(
                 f"batch has {batch.num_tables} sparse features, model expects {len(self.tables)}"
             )
-        dense_out = self.bottom_mlp.forward(batch.dense)
+        dense_out = self.bottom_mlp.forward(batch.dense.astype(self.dtype, copy=False))
         sparse_out = [
             table.forward(batch.sparse[:, t, :]) for t, table in enumerate(self.tables)
         ]
@@ -215,6 +217,7 @@ class DLRM:
         if normalizer is not None and normalizer <= 0:
             raise ValueError("normalizer must be positive")
         segment_ids = segment_ids_for(segments, batch.size)
+        dense = batch.dense.astype(self.dtype, copy=False)
         stacked_block: np.ndarray | None = None
         if self.stacked is not None:
             # Cross-table fusion: ONE gather for every table's lookups.
@@ -234,14 +237,14 @@ class DLRM:
             and self._packed_top.supported
         ):
             losses, grad_pooled = self._packed_dense_pass(
-                batch, segments, normalizer, after_segment, pooled
+                batch, dense, segments, normalizer, after_segment, pooled
             )
         else:
             losses = []
             grad_pooled = [[] for _ in range(num_tables)]
             interaction_s = 0.0
             for s, idx in enumerate(segments):
-                dense_out = self.bottom_mlp.forward(batch.dense[idx])
+                dense_out = self.bottom_mlp.forward(dense[idx])
                 mark = perf_counter()
                 interaction, cache = self._interaction.forward(
                     dense_out, [pooled[t][idx] for t in range(num_tables)]
@@ -274,9 +277,8 @@ class DLRM:
             # table, pooling) ravel keeps each table's contributions in the
             # per-table flat order, so the combined scatter is
             # bit-identical to per-table backward_segments calls.
-            dtype = grad_pooled[0][0].dtype if grad_pooled[0] else np.float64
             grad_block = np.empty(
-                (batch.size, num_tables, self.config.embedding_dim), dtype=dtype
+                (batch.size, num_tables, self.config.embedding_dim), dtype=self.dtype
             )
             for s, idx in enumerate(segments):
                 for t in range(num_tables):
@@ -308,7 +310,7 @@ class DLRM:
         return losses, sparse_grads
 
     def _packed_dense_pass(
-        self, batch, segments, normalizer, after_segment, pooled
+        self, batch, dense, segments, normalizer, after_segment, pooled
     ) -> tuple[list[float], list[list[np.ndarray]]]:
         """Segment-packed dense pass — one GEMM per layer per *step*.
 
@@ -323,7 +325,7 @@ class DLRM:
         num_tables = len(self.tables)
         perm = segments[0] if len(segments) == 1 else np.concatenate(segments)
         bounds = segment_bounds(segments)
-        dense_out = self._packed_bottom.forward(batch.dense[perm], bounds)
+        dense_out = self._packed_bottom.forward(dense[perm], bounds)
         mark = perf_counter()
         interaction, cache = self._interaction.forward(
             dense_out, [pooled[t][perm] for t in range(num_tables)]

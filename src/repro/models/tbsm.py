@@ -59,15 +59,17 @@ class TBSM:
         if not config.uses_attention:
             raise ValueError("TBSM requires a configuration with uses_attention=True")
         self.config = config
+        #: Numeric dtype of every parameter and activation (float32/float64).
+        self.dtype = config.numpy_dtype
         rng = np.random.default_rng(seed)
         bottom_sizes = [int(tok) for tok in config.bottom_mlp.split("-")]
         if bottom_sizes[0] != config.num_dense_features:
             raise ValueError("bottom MLP input size must match the dense feature count")
         if bottom_sizes[-1] != config.embedding_dim:
             raise ValueError("bottom MLP output size must equal the embedding dimension")
-        self.bottom_mlp = MLP(bottom_sizes, rng)
+        self.bottom_mlp = MLP(bottom_sizes, rng, dtype=self.dtype)
         self.tables: list[EmbeddingBag] = [
-            EmbeddingBag(rows, config.embedding_dim, rng, name=f"table_{i}")
+            EmbeddingBag(rows, config.embedding_dim, rng, name=f"table_{i}", dtype=self.dtype)
             for i, rows in enumerate(config.dataset.rows_per_table)
         ]
         self.attention = DotProductAttention()
@@ -75,7 +77,7 @@ class TBSM:
         # of the non-history tables.
         top_hidden = [int(tok) for tok in config.top_mlp.split("-")]
         top_input = config.embedding_dim * (1 + 1 + (config.num_sparse_features - 1))
-        self.top_mlp = MLP([top_input] + top_hidden, rng)
+        self.top_mlp = MLP([top_input] + top_hidden, rng, dtype=self.dtype)
         self.stacked: StackedEmbeddingStore | None = (
             StackedEmbeddingStore(self.tables) if stacked else None
         )
@@ -94,7 +96,7 @@ class TBSM:
         """Compute CTR logits, shape (batch,)."""
         if batch.num_tables != len(self.tables):
             raise ValueError("batch sparse-feature count does not match the model")
-        dense_out = self.bottom_mlp.forward(batch.dense)
+        dense_out = self.bottom_mlp.forward(batch.dense.astype(self.dtype, copy=False))
 
         # History sequence: one embedding vector per lookup of table 0.
         history_table = self.tables[0]
@@ -205,6 +207,7 @@ class TBSM:
         history_block = batch.sparse[:, 0, :]
         steps = history_block.shape[1]
         segment_ids = segment_ids_for(segments, batch.size)
+        dense = batch.dense.astype(self.dtype, copy=False)
         stacked_block: np.ndarray | None = None
         if self.stacked is not None:
             # Cross-table fusion: ONE gather covers the history sequence
@@ -229,18 +232,15 @@ class TBSM:
             and self._packed_top.supported
         ):
             losses, history_grad_all, grad_pooled = self._packed_dense_pass(
-                batch, segments, normalizer, after_segment, sequence_all, pooled
+                batch, dense, segments, normalizer, after_segment, sequence_all, pooled
             )
         else:
             losses = []
-            #: Allocated at the first segment's backward so the buffer
-            #: matches the gradient dtype (float32 models stay float32
-            #: end-to-end).
-            history_grad_all = None
+            history_grad_all = np.empty((batch.size, steps, dim), dtype=self.dtype)
             grad_pooled = {t: [] for t in range(1, num_tables)}
             interaction_s = 0.0
             for s, idx in enumerate(segments):
-                dense_out = self.bottom_mlp.forward(batch.dense[idx])
+                dense_out = self.bottom_mlp.forward(dense[idx])
                 mark = perf_counter()
                 context = self.attention.forward(dense_out, sequence_all[idx])
                 interaction_s += perf_counter() - mark
@@ -259,10 +259,6 @@ class TBSM:
                 grad_query, grad_sequence = self.attention.backward(grad_context)
                 interaction_s += perf_counter() - mark
                 self.bottom_mlp.backward(grad_query + grad_dense_direct)
-                if history_grad_all is None:
-                    history_grad_all = np.empty(
-                        (batch.size, steps, dim), dtype=grad_sequence.dtype
-                    )
                 history_grad_all[idx] = grad_sequence
                 offset = 0
                 for t in range(1, num_tables):
@@ -320,7 +316,7 @@ class TBSM:
         return losses, sparse_grads
 
     def _packed_dense_pass(
-        self, batch, segments, normalizer, after_segment, sequence_all, pooled
+        self, batch, dense, segments, normalizer, after_segment, sequence_all, pooled
     ) -> tuple[list[float], np.ndarray, dict[int, list[np.ndarray]]]:
         """Segment-packed dense pass (MLPs, attention, loss) for TBSM.
 
@@ -335,7 +331,7 @@ class TBSM:
         steps = batch.sparse.shape[2]
         perm = segments[0] if len(segments) == 1 else np.concatenate(segments)
         bounds = segment_bounds(segments)
-        dense_out = self._packed_bottom.forward(batch.dense[perm], bounds)
+        dense_out = self._packed_bottom.forward(dense[perm], bounds)
         mark = perf_counter()
         context = self.attention.forward(dense_out, sequence_all[perm])
         interaction_s = perf_counter() - mark

@@ -30,15 +30,17 @@ class DotProductAttention:
         """
         if query.ndim != 2 or sequence.ndim != 3:
             raise ValueError("query must be (batch, dim) and sequence (batch, steps, dim)")
-        dim = query.shape[1]
-        scores = np.einsum("bd,btd->bt", query, sequence) / np.sqrt(dim)
+        # Scale in the operands' dtype: a float64 ``np.sqrt`` scalar would
+        # promote float32 scores to float64.
+        root_dim = query.dtype.type(np.sqrt(query.shape[1]))
+        scores = np.einsum("bd,btd->bt", query, sequence) / root_dim
         weights = _softmax(scores, axis=1)
         context = np.einsum("bt,btd->bd", weights, sequence)
         self._cache = {
             "query": query,
             "sequence": sequence,
             "weights": weights,
-            "scale": 1.0 / np.sqrt(dim),
+            "scale": 1.0 / root_dim,
         }
         return context
 

@@ -137,13 +137,14 @@ def merge_sparse_gradients(grads: list[SparseGradient]) -> SparseGradient:
 
     Rows appearing in more than one gradient have their values added, which
     is exactly what happens when a mini-batch's gradient is accumulated from
-    the gradients of its µ-batches (Eq. 5 of the paper).
+    the gradients of its µ-batches (Eq. 5 of the paper).  The result keeps
+    the inputs' value width and dtype, so at least one gradient is needed.
     """
+    if not grads:
+        raise ValueError("merging needs at least one gradient to take its width and dtype from")
     non_empty = [grad for grad in grads if grad.nnz]
     if not non_empty:
-        dim = grads[0].values.shape[1] if grads else 0
-        dtype = grads[0].values.dtype if grads else np.float64
-        return SparseGradient(np.empty(0, dtype=np.int64), np.empty((0, dim), dtype=dtype))
+        return SparseGradient(np.empty(0, dtype=np.int64), grads[0].values[:0].copy())
     all_indices = np.concatenate([grad.indices for grad in non_empty])
     all_values = np.concatenate([grad.values for grad in non_empty], axis=0)
     unique, inverse = np.unique(all_indices, return_inverse=True)
@@ -355,13 +356,21 @@ class EmbeddingBag:
     ``copy.deepcopy`` never materialises a view.
     """
 
-    def __init__(self, num_rows: int, dim: int, rng: np.random.Generator, name: str = ""):
+    def __init__(
+        self,
+        num_rows: int,
+        dim: int,
+        rng: np.random.Generator,
+        name: str = "",
+        *,
+        dtype: np.dtype,
+    ):
         if num_rows <= 0 or dim <= 0:
             raise ValueError("embedding table must have positive rows and dim")
         self.num_rows = num_rows
         self.dim = dim
         self.name = name or f"emb_{num_rows}x{dim}"
-        self._weight: np.ndarray | None = init.embedding_uniform(num_rows, dim, rng)
+        self._weight: np.ndarray | None = init.embedding_uniform(num_rows, dim, rng, dtype)
         self._store: StackedEmbeddingStore | None = None
         self._slot: int = -1
         self._tier: TieredEmbeddingStore | None = None
@@ -490,8 +499,7 @@ class EmbeddingBag:
             flat_segment_ids = (
                 segment_ids if pooling == 1 else np.repeat(segment_ids, pooling)
             )
-        dtype = grad_outputs[0].dtype if grad_outputs else np.float64
-        grad_all = np.empty((batch, self.dim), dtype=dtype)
+        grad_all = np.empty((batch, self.dim), dtype=self.weight.dtype)
         for idx, grad_output in zip(segments, grad_outputs, strict=True):
             if grad_output.shape[0] != len(idx):
                 raise ValueError("gradient block does not match its segment")

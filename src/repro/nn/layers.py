@@ -27,13 +27,20 @@ class Layer(Protocol):
 
 
 class Linear:
-    """Fully-connected layer ``y = x @ W + b``."""
+    """Fully-connected layer ``y = x @ W + b`` with parameters of ``dtype``."""
 
-    def __init__(self, in_features: int, out_features: int, rng: np.random.Generator):
+    def __init__(
+        self,
+        in_features: int,
+        out_features: int,
+        rng: np.random.Generator,
+        *,
+        dtype: np.dtype,
+    ):
         self.in_features = in_features
         self.out_features = out_features
-        self.weight = init.xavier_uniform(in_features, out_features, rng)
-        self.bias = init.zeros(out_features)
+        self.weight = init.xavier_uniform(in_features, out_features, rng, dtype)
+        self.bias = init.zeros(out_features, dtype=dtype)
         self.grad_weight = np.zeros_like(self.weight)
         self.grad_bias = np.zeros_like(self.bias)
         self._input: np.ndarray | None = None

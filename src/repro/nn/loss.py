@@ -26,12 +26,13 @@ certification:
   ``e/(1+e)`` matches the reference's ``exp(z)/(1+exp(z))``.
 
 Unlike the reference (which always round-trips through float64), the fused
-kernel computes in the logits' native floating dtype — float32 batches stay
-float32, which is what "avoid the float64 round-trips where the float32
-contract allows" means; the repo's float64 training path is unaffected.
-All outputs are fresh allocations (no workspace pooling): the gradient is
-handed to the caller, who scales and accumulates it across µ-batch
-segments, so it must never be recycled.
+kernel computes in the logits' native floating dtype, which follows
+``ModelConfig.dtype_bytes``: float32 models (the default) stay float32 and
+float64 models stay float64.  The bit-identity with the reference above
+therefore holds for float64 models only.  All outputs are fresh
+allocations (no workspace pooling): the gradient is handed to the caller,
+who scales and accumulates it across µ-batch segments, so it must never
+be recycled.
 """
 
 from __future__ import annotations

@@ -22,6 +22,7 @@ class MLP:
         layer_sizes: list[int],
         rng: np.random.Generator,
         *,
+        dtype: np.dtype,
         sigmoid_output: bool = False,
     ):
         if len(layer_sizes) < 2:
@@ -30,7 +31,7 @@ class MLP:
         self.sigmoid_output = sigmoid_output
         self.layers: list = []
         for i, (fan_in, fan_out) in enumerate(zip(layer_sizes[:-1], layer_sizes[1:], strict=True)):
-            self.layers.append(Linear(fan_in, fan_out, rng))
+            self.layers.append(Linear(fan_in, fan_out, rng, dtype=dtype))
             is_last = i == len(layer_sizes) - 2
             if not is_last:
                 self.layers.append(ReLU())
@@ -39,11 +40,16 @@ class MLP:
 
     @classmethod
     def from_arch_string(
-        cls, arch: str, rng: np.random.Generator, *, sigmoid_output: bool = False
+        cls,
+        arch: str,
+        rng: np.random.Generator,
+        *,
+        dtype: np.dtype,
+        sigmoid_output: bool = False,
     ) -> MLP:
         """Build an MLP from a DLRM-style ``"13-512-256-64"`` string."""
         sizes = [int(token) for token in arch.split("-")]
-        return cls(sizes, rng, sigmoid_output=sigmoid_output)
+        return cls(sizes, rng, dtype=dtype, sigmoid_output=sigmoid_output)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Run the input through every layer."""

@@ -8,6 +8,8 @@ Hotline pipeline depends on.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,18 @@ def tiny_model_config() -> ModelConfig:
 def tiny_ts_model_config() -> ModelConfig:
     """A small TBSM (attention) configuration."""
     return TINY_TS_MODEL
+
+
+@pytest.fixture(scope="session")
+def tiny_model_config_f64() -> ModelConfig:
+    """The tiny DLRM config in float64, for checks calibrated to float64."""
+    return replace(TINY_MODEL, dtype_bytes=8)
+
+
+@pytest.fixture(scope="session")
+def tiny_ts_model_config_f64() -> ModelConfig:
+    """The tiny TBSM config in float64, for checks calibrated to float64."""
+    return replace(TINY_TS_MODEL, dtype_bytes=8)
 
 
 @pytest.fixture(scope="session")

@@ -17,7 +17,13 @@ retained sequential path.  This grid proves it:
   has to route individual layers to their per-segment fallback.
 * Replica-stacked vs per-replica sync training at K ∈ {1, 2, 4}:
   bitwise-equal losses, final parameters, and zero replica drift.
+
+Every grid runs at both numeric widths: the plain tests train the default
+float32 configs (``dtype_bytes=4``), the ``_float64`` twins the same grids
+at ``dtype_bytes=8``.  Bit-identity is asserted within each dtype.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -126,11 +132,31 @@ def test_tbsm_batched_matches_sequential(
     )
 
 
+@pytest.mark.parametrize("stacked", [False, True], ids=["per-table", "stacked"])
 @pytest.mark.parametrize("grid", sorted(SEGMENT_GRIDS), ids=sorted(SEGMENT_GRIDS))
-def test_rm2_width_dlrm_batched_matches_sequential(grid):
+def test_dlrm_batched_matches_sequential_float64(
+    tiny_model_config_f64, tiny_click_log, stacked, grid
+):
+    test_dlrm_batched_matches_sequential(tiny_model_config_f64, tiny_click_log, stacked, grid)
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["per-table", "stacked"])
+@pytest.mark.parametrize("grid", sorted(SEGMENT_GRIDS), ids=sorted(SEGMENT_GRIDS))
+def test_tbsm_batched_matches_sequential_float64(
+    tiny_ts_model_config_f64, tiny_ts_click_log, stacked, grid
+):
+    test_tbsm_batched_matches_sequential(
+        tiny_ts_model_config_f64, tiny_ts_click_log, stacked, grid
+    )
+
+
+@pytest.mark.parametrize("grid", sorted(SEGMENT_GRIDS), ids=sorted(SEGMENT_GRIDS))
+def test_rm2_width_dlrm_batched_matches_sequential(grid, dtype_bytes=4):
     """Real RM2 MLP widths (K=512): certification must route the unstable
     GEMM shapes per-segment and still reproduce the sequential bits."""
-    config = RM2.scaled(max_rows_per_table=600, samples_per_epoch=512)
+    config = replace(
+        RM2.scaled(max_rows_per_table=600, samples_per_epoch=512), dtype_bytes=dtype_bytes
+    )
     log = generate_click_log(config.dataset, 512, seed=17)
     batch = log.batch(0, 256)
     segments = SEGMENT_GRIDS[grid](batch.size)
@@ -140,6 +166,11 @@ def test_rm2_width_dlrm_batched_matches_sequential(grid):
         batch,
         segments,
     )
+
+
+@pytest.mark.parametrize("grid", sorted(SEGMENT_GRIDS), ids=sorted(SEGMENT_GRIDS))
+def test_rm2_width_dlrm_batched_matches_sequential_float64(grid):
+    test_rm2_width_dlrm_batched_matches_sequential(grid, dtype_bytes=8)
 
 
 def test_packed_pass_is_deterministic_across_block_heights(tiny_model_config, tiny_click_log):
@@ -193,6 +224,13 @@ def test_replica_stacked_matches_per_replica(
         state_stacked = replica_stacked.model.state_snapshot()
         for key, value in state_ref.items():
             np.testing.assert_array_equal(state_stacked[key], value, err_msg=key)
+
+
+@pytest.mark.parametrize("num_shards", [1, 2, 4])
+def test_replica_stacked_matches_per_replica_float64(
+    tiny_model_config_f64, tiny_click_log, num_shards
+):
+    test_replica_stacked_matches_per_replica(tiny_model_config_f64, tiny_click_log, num_shards)
 
 
 def test_replica_stacking_requires_sync_mode(tiny_model_config):
@@ -252,8 +290,8 @@ def test_segment_bounds_partition_in_order():
 
 
 def test_packed_mlp_rejects_sigmoid_output(rng):
-    assert not PackedMLP(MLP([4, 8, 2], rng, sigmoid_output=True)).supported
-    assert PackedMLP(MLP([4, 8, 2], rng)).supported
+    assert not PackedMLP(MLP([4, 8, 2], rng, sigmoid_output=True, dtype=np.float64)).supported
+    assert PackedMLP(MLP([4, 8, 2], rng, dtype=np.float64)).supported
 
 
 def test_dense_time_split_is_populated(tiny_model_config, tiny_click_log):
@@ -303,7 +341,7 @@ def test_sharded_dense_time_split_is_populated(tiny_model_config, tiny_click_log
 # New-kernel vs retained-reference parity (PR 10)
 # --------------------------------------------------------------------- #
 def test_epilogue_reference_training_is_bit_identical(
-    tiny_model_config, tiny_click_log
+    tiny_model_config_f64, tiny_click_log
 ):
     """The fused loss epilogue claims *bit*-identity with the retained
     two-pass pair — so a whole training run forced through the reference
@@ -311,9 +349,9 @@ def test_epilogue_reference_training_is_bit_identical(
     from repro.nn import loss as loss_mod
 
     batches = [tiny_click_log.batch(i * 128, 128) for i in range(4)]
-    model_fused = DLRM(tiny_model_config, seed=21)
+    model_fused = DLRM(tiny_model_config_f64, seed=21)
     losses_fused = [model_fused.train_step(b, lr=0.1) for b in batches]
-    model_ref = DLRM(tiny_model_config, seed=21)
+    model_ref = DLRM(tiny_model_config_f64, seed=21)
     with loss_mod.force_reference():
         losses_ref = [model_ref.train_step(b, lr=0.1) for b in batches]
     assert losses_fused == losses_ref
@@ -323,7 +361,7 @@ def test_epilogue_reference_training_is_bit_identical(
 
 
 def test_interaction_reference_training_stays_close(
-    tiny_model_config, tiny_click_log
+    tiny_model_config_f64, tiny_click_log
 ):
     """The batched interaction GEMM is allclose (not bitwise) to the einsum
     reference — certification guarantees *row stability across execution
@@ -332,9 +370,9 @@ def test_interaction_reference_training_stays_close(
     from repro.nn import interaction as interaction_mod
 
     batches = [tiny_click_log.batch(i * 128, 128) for i in range(4)]
-    model_new = DLRM(tiny_model_config, seed=23)
+    model_new = DLRM(tiny_model_config_f64, seed=23)
     losses_new = [model_new.train_step(b, lr=0.1) for b in batches]
-    model_ref = DLRM(tiny_model_config, seed=23)
+    model_ref = DLRM(tiny_model_config_f64, seed=23)
     with interaction_mod.force_reference():
         losses_ref = [model_ref.train_step(b, lr=0.1) for b in batches]
     np.testing.assert_allclose(losses_new, losses_ref, rtol=1e-9)

@@ -8,6 +8,8 @@ trainer — at the suite's established tolerance (rtol 1e-9), and bit-for-bit
 for K = 1.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -48,14 +50,14 @@ def sharded_run(model_cls, config, log, num_shards, *, lr=0.05, epochs=1):
 
 @pytest.mark.parametrize("num_shards", [1, 2, 4])
 def test_sharded_matches_single_replica_dlrm(
-    tiny_model_config, tiny_click_log, num_shards
+    tiny_model_config_f64, tiny_click_log, num_shards
 ):
     """Figure 18 config: K-shard losses and final parameters match K=1."""
     single_model, single_result = single_replica_run(
-        DLRM, tiny_model_config, tiny_click_log
+        DLRM, tiny_model_config_f64, tiny_click_log
     )
     sharded_model, sharded_result, _ = sharded_run(
-        DLRM, tiny_model_config, tiny_click_log, num_shards
+        DLRM, tiny_model_config_f64, tiny_click_log, num_shards
     )
     np.testing.assert_allclose(
         sharded_result.losses, single_result.losses, rtol=1e-9, atol=1e-9
@@ -88,13 +90,13 @@ def test_one_shard_is_bit_identical_to_single_replica(tiny_model_config, tiny_cl
 
 @pytest.mark.parametrize("num_shards", [2, 4])
 def test_sharded_matches_single_replica_tbsm(
-    tiny_ts_model_config, tiny_ts_click_log, num_shards
+    tiny_ts_model_config_f64, tiny_ts_click_log, num_shards
 ):
     single_model, single_result = single_replica_run(
-        TBSM, tiny_ts_model_config, tiny_ts_click_log
+        TBSM, tiny_ts_model_config_f64, tiny_ts_click_log
     )
     sharded_model, sharded_result, _ = sharded_run(
-        TBSM, tiny_ts_model_config, tiny_ts_click_log, num_shards
+        TBSM, tiny_ts_model_config_f64, tiny_ts_click_log, num_shards
     )
     np.testing.assert_allclose(
         sharded_result.losses, single_result.losses, rtol=1e-9, atol=1e-9
@@ -107,10 +109,10 @@ def test_sharded_matches_single_replica_tbsm(
         )
 
 
-def test_sharded_matches_full_batch_baseline(tiny_model_config, tiny_click_log):
+def test_sharded_matches_full_batch_baseline(tiny_model_config_f64, tiny_click_log):
     """The chain closes: K-shard Hotline == single-replica == baseline."""
-    baseline = DLRM(tiny_model_config, seed=42)
-    sharded_model, _, trainer = sharded_run(DLRM, tiny_model_config, tiny_click_log, 4)
+    baseline = DLRM(tiny_model_config_f64, seed=42)
+    sharded_model, _, trainer = sharded_run(DLRM, tiny_model_config_f64, tiny_click_log, 4)
     loader = MiniBatchLoader(tiny_click_log, batch_size=128)
     for batch in loader:
         baseline.train_step(batch, lr=0.05)
@@ -127,7 +129,7 @@ def test_four_shards_match_single_replica_on_figure18_config():
     from repro.data.synthetic import generate_click_log
     from repro.models import RM2
 
-    config = RM2.scaled(max_rows_per_table=1200, samples_per_epoch=3072)
+    config = replace(RM2.scaled(max_rows_per_table=1200, samples_per_epoch=3072), dtype_bytes=8)
     log = generate_click_log(config.dataset, 3072, seed=41)
     loader = MiniBatchLoader(log, batch_size=256)
     eval_batch = log.batch(2048, 1024)
@@ -175,15 +177,15 @@ def test_invalid_shard_counts_rejected(tiny_model_config):
         ShardedHotlineTrainer(DLRM(tiny_model_config, seed=0), 2, cluster=single_node(4))
 
 
-def test_batch_smaller_than_shard_count(tiny_model_config, tiny_click_log):
+def test_batch_smaller_than_shard_count(tiny_model_config_f64, tiny_click_log):
     """Empty trailing shards are skipped, and the update still matches."""
     trainer = ShardedHotlineTrainer(
-        DLRM(tiny_model_config, seed=1), 8, lr=0.05, sample_fraction=0.25
+        DLRM(tiny_model_config_f64, seed=1), 8, lr=0.05, sample_fraction=0.25
     )
     loader = MiniBatchLoader(tiny_click_log, batch_size=128)
     trainer.learning_phase(loader)
     batch = tiny_click_log.batch(0, 5)
-    baseline = DLRM(tiny_model_config, seed=1)
+    baseline = DLRM(tiny_model_config_f64, seed=1)
     loss, popular_fraction = trainer.train_step(batch)
     baseline.train_step(batch, lr=0.05)
     assert 0.0 <= popular_fraction <= 1.0

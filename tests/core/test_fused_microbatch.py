@@ -10,6 +10,9 @@ at every layer — the raw kernels, the model-level
 ``fused_loss_and_gradients`` on DLRM and TBSM, the single-replica
 :class:`HotlineTrainer`, and the multi-replica
 :class:`ShardedHotlineTrainer` including the stale-0 + lookahead fast path.
+Model and trainer parity runs at both numeric widths: the plain tests
+train the default float32 configs, the ``_float64`` twins
+``dtype_bytes=8``.
 """
 
 import numpy as np
@@ -41,7 +44,7 @@ def partition(batch_size, rng, parts=2):
 # Kernel level
 # --------------------------------------------------------------------- #
 def test_backward_segments_matches_per_segment_backward(rng):
-    bag = EmbeddingBag(40, 4, np.random.default_rng(1))
+    bag = EmbeddingBag(40, 4, np.random.default_rng(1), dtype=np.float64)
     block = rng.integers(0, 40, size=(9, 2))
     segments = partition(9, rng)
     grads = [rng.normal(size=(len(idx), 4)) for idx in segments]
@@ -78,7 +81,7 @@ def test_segmented_scatter_empty():
 
 
 def test_segment_ids_and_backward_guards():
-    bag = EmbeddingBag(10, 2, np.random.default_rng(2))
+    bag = EmbeddingBag(10, 2, np.random.default_rng(2), dtype=np.float64)
     with pytest.raises(RuntimeError):
         bag.backward_segments([np.zeros((1, 2))], [np.arange(1)])
     bag.forward(np.zeros((3, 1), dtype=np.int64))
@@ -142,6 +145,16 @@ def test_fused_loss_and_gradients_parity_tbsm(tiny_ts_model_config, tiny_ts_clic
     model_level_parity(TBSM, tiny_ts_model_config, tiny_ts_click_log, seed=5)
 
 
+def test_fused_loss_and_gradients_parity_dlrm_float64(tiny_model_config_f64, tiny_click_log):
+    model_level_parity(DLRM, tiny_model_config_f64, tiny_click_log, seed=5)
+
+
+def test_fused_loss_and_gradients_parity_tbsm_float64(
+    tiny_ts_model_config_f64, tiny_ts_click_log
+):
+    model_level_parity(TBSM, tiny_ts_model_config_f64, tiny_ts_click_log, seed=5)
+
+
 def test_fused_after_segment_hook_sees_per_segment_state(
     tiny_model_config, tiny_click_log
 ):
@@ -184,13 +197,13 @@ def hotline_run(model_cls, config, log, *, fused):
     return trainer, result
 
 
-@pytest.mark.parametrize(
-    "model_cls, config_fixture, log_fixture",
-    [
-        (DLRM, "tiny_model_config", "tiny_click_log"),
-        (TBSM, "tiny_ts_model_config", "tiny_ts_click_log"),
-    ],
-)
+HOTLINE_MODELS = [
+    (DLRM, "tiny_model_config", "tiny_click_log"),
+    (TBSM, "tiny_ts_model_config", "tiny_ts_click_log"),
+]
+
+
+@pytest.mark.parametrize("model_cls, config_fixture, log_fixture", HOTLINE_MODELS)
 def test_hotline_trainer_fused_bit_parity(
     model_cls, config_fixture, log_fixture, request
 ):
@@ -202,6 +215,15 @@ def test_hotline_trainer_fused_bit_parity(
     assert result_f.final_metrics == result_s.final_metrics
     assert_bit_identical(
         trainer_f.model.state_snapshot(), trainer_s.model.state_snapshot()
+    )
+
+
+@pytest.mark.parametrize("model_cls, config_fixture, log_fixture", HOTLINE_MODELS)
+def test_hotline_trainer_fused_bit_parity_float64(
+    model_cls, config_fixture, log_fixture, request
+):
+    test_hotline_trainer_fused_bit_parity(
+        model_cls, f"{config_fixture}_f64", log_fixture, request
     )
 
 
@@ -234,24 +256,24 @@ def sharded_run(config, log, *, fused, num_shards=2, **knobs):
     return trainer, result
 
 
-@pytest.mark.parametrize(
-    "knobs",
-    [
-        {},
-        {"mode": "overlap"},
-        {"partition_embeddings": True},
-        # The stale-0 + lookahead fast path: the cached pipeline defers
-        # nothing, so the fused path must stay bit-identical through it.
-        {"lookahead_window": 3},
-        # And a genuinely deferring pipeline: fused and sequential must
-        # agree on every flush too (same merged gradients in, same out).
-        {"lookahead_window": 3, "mode": "stale-2"},
-        # Shard-count extremes (K=1 degenerate, K=4 wide) through the new
-        # single-pass interaction + fused-epilogue kernels.
-        {"num_shards": 1},
-        {"num_shards": 4},
-    ],
-)
+SHARDED_KNOBS = [
+    {},
+    {"mode": "overlap"},
+    {"partition_embeddings": True},
+    # The stale-0 + lookahead fast path: the cached pipeline defers
+    # nothing, so the fused path must stay bit-identical through it.
+    {"lookahead_window": 3},
+    # And a genuinely deferring pipeline: fused and sequential must
+    # agree on every flush too (same merged gradients in, same out).
+    {"lookahead_window": 3, "mode": "stale-2"},
+    # Shard-count extremes (K=1 degenerate, K=4 wide) through the new
+    # single-pass interaction + fused-epilogue kernels.
+    {"num_shards": 1},
+    {"num_shards": 4},
+]
+
+
+@pytest.mark.parametrize("knobs", SHARDED_KNOBS)
 def test_sharded_trainer_fused_bit_parity(tiny_model_config, tiny_click_log, knobs):
     trainer_f, result_f = sharded_run(tiny_model_config, tiny_click_log, fused=True, **knobs)
     trainer_s, result_s = sharded_run(tiny_model_config, tiny_click_log, fused=False, **knobs)
@@ -262,3 +284,8 @@ def test_sharded_trainer_fused_bit_parity(tiny_model_config, tiny_click_log, kno
         trainer_f.model.state_snapshot(), trainer_s.model.state_snapshot()
     )
     assert trainer_f.replica_drift() == 0.0
+
+
+@pytest.mark.parametrize("knobs", SHARDED_KNOBS)
+def test_sharded_trainer_fused_bit_parity_float64(tiny_model_config_f64, tiny_click_log, knobs):
+    test_sharded_trainer_fused_bit_parity(tiny_model_config_f64, tiny_click_log, knobs)

@@ -23,7 +23,7 @@ from repro.reference import (
 
 
 def make_bag(rows=64, dim=8, seed=3):
-    return EmbeddingBag(rows, dim, np.random.default_rng(seed))
+    return EmbeddingBag(rows, dim, np.random.default_rng(seed), dtype=np.float64)
 
 
 def random_indices(batch, pooling, rows=64, seed=0):

@@ -34,10 +34,10 @@ def test_train_step_before_learning_phase_raises(tiny_model_config, tiny_click_l
         trainer.train_step(tiny_click_log.batch(0, 32))
 
 
-def test_hotline_update_identical_to_baseline_dlrm(tiny_model_config, tiny_click_log):
+def test_hotline_update_identical_to_baseline_dlrm(tiny_model_config_f64, tiny_click_log):
     """The headline fidelity claim: same mini-batch, same parameter update."""
-    hotline_model = DLRM(tiny_model_config, seed=42)
-    baseline_model = DLRM(tiny_model_config, seed=42)
+    hotline_model = DLRM(tiny_model_config_f64, seed=42)
+    baseline_model = DLRM(tiny_model_config_f64, seed=42)
     loader = MiniBatchLoader(tiny_click_log, batch_size=128)
     trainer = HotlineTrainer(hotline_model, make_accelerator(), lr=0.05, sample_fraction=0.25)
     trainer.learning_phase(loader)
@@ -55,9 +55,11 @@ def test_hotline_update_identical_to_baseline_dlrm(tiny_model_config, tiny_click
         )
 
 
-def test_hotline_update_identical_to_baseline_tbsm(tiny_ts_model_config, tiny_ts_click_log):
-    hotline_model = TBSM(tiny_ts_model_config, seed=9)
-    baseline_model = TBSM(tiny_ts_model_config, seed=9)
+def test_hotline_update_identical_to_baseline_tbsm(
+    tiny_ts_model_config_f64, tiny_ts_click_log
+):
+    hotline_model = TBSM(tiny_ts_model_config_f64, seed=9)
+    baseline_model = TBSM(tiny_ts_model_config_f64, seed=9)
     loader = MiniBatchLoader(tiny_ts_click_log, batch_size=128)
     trainer = HotlineTrainer(hotline_model, make_accelerator(), lr=0.05, sample_fraction=0.25)
     trainer.learning_phase(loader)

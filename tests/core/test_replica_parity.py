@@ -17,6 +17,10 @@ attached (zero staleness flushes every deferred sparse update immediately).
 ``stale-k`` with k > 0 applies the reduced dense gradient k steps late and
 is asserted to diverge from the reference while staying deterministic and
 drift-free for k ∈ {1, 2, 4}.
+
+The sync-vs-merged guarantee holds at both numeric widths: the plain tests
+train the default float32 configs, the ``_float64`` twins
+``dtype_bytes=8``.
 """
 
 import numpy as np
@@ -85,6 +89,24 @@ def test_sync_replicas_bit_identical_to_merged_tbsm(
     assert replica_result.losses == merged_result.losses
     assert_bit_identical(merged_model.state_snapshot(), replica_model.state_snapshot())
     assert trainer.replica_drift() == 0.0
+
+
+@pytest.mark.parametrize("num_shards", [1, 2, pytest.param(4, marks=pytest.mark.slow)])
+def test_sync_replicas_bit_identical_to_merged_dlrm_float64(
+    tiny_model_config_f64, tiny_click_log, num_shards
+):
+    test_sync_replicas_bit_identical_to_merged_dlrm(
+        tiny_model_config_f64, tiny_click_log, num_shards
+    )
+
+
+@pytest.mark.parametrize("num_shards", [1, 2, pytest.param(4, marks=pytest.mark.slow)])
+def test_sync_replicas_bit_identical_to_merged_tbsm_float64(
+    tiny_ts_model_config_f64, tiny_ts_click_log, num_shards
+):
+    test_sync_replicas_bit_identical_to_merged_tbsm(
+        tiny_ts_model_config_f64, tiny_ts_click_log, num_shards
+    )
 
 
 @pytest.mark.parametrize("num_shards", [1, 2, pytest.param(4, marks=pytest.mark.slow)])
@@ -270,16 +292,13 @@ def test_stale_mode_diverges_after_first_step(tiny_model_config, tiny_click_log)
     assert trainer.replica_drift() == 0.0
 
 
-def test_tree_algorithm_is_deterministic_and_close(tiny_model_config, tiny_click_log):
+def test_tree_algorithm_is_deterministic_and_close(tiny_model_config_f64, tiny_click_log):
     """Tree reduce re-associates the sum: not bit-parity, but deterministic
     and within the suite's numerical tolerance of the merged reference."""
-    merged_model, merged_result = merged_run(DLRM, tiny_model_config, tiny_click_log, 4)
-    model_a, result_a, _ = replicated_run(
-        DLRM, tiny_model_config, tiny_click_log, 4, algorithm="tree"
-    )
-    model_b, result_b, _ = replicated_run(
-        DLRM, tiny_model_config, tiny_click_log, 4, algorithm="tree"
-    )
+    config = tiny_model_config_f64
+    merged_model, merged_result = merged_run(DLRM, config, tiny_click_log, 4)
+    model_a, result_a, _ = replicated_run(DLRM, config, tiny_click_log, 4, algorithm="tree")
+    model_b, result_b, _ = replicated_run(DLRM, config, tiny_click_log, 4, algorithm="tree")
     assert result_a.losses == result_b.losses  # deterministic across runs
     assert_bit_identical(model_a.state_snapshot(), model_b.state_snapshot())
     np.testing.assert_allclose(

@@ -40,7 +40,7 @@ from repro.nn.embedding import (
 
 def make_tables(rows=(16, 8, 4), dim=4):
     return [
-        EmbeddingBag(r, dim, np.random.default_rng(100 + i), name=f"t{i}")
+        EmbeddingBag(r, dim, np.random.default_rng(100 + i), name=f"t{i}", dtype=np.float64)
         for i, r in enumerate(rows)
     ]
 
@@ -72,7 +72,7 @@ def test_store_rejects_mixed_dims_and_empty():
     with pytest.raises(ValueError, match="zero tables"):
         StackedEmbeddingStore([])
     rng = np.random.default_rng(0)
-    mixed = [EmbeddingBag(4, 2, rng), EmbeddingBag(4, 3, rng)]
+    mixed = [EmbeddingBag(4, 2, rng, dtype=np.float64), EmbeddingBag(4, 3, rng, dtype=np.float64)]
     with pytest.raises(ValueError, match="one dim"):
         StackedEmbeddingStore(mixed)
 

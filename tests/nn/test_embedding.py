@@ -8,7 +8,7 @@ from repro.nn.embedding import EmbeddingBag, SparseGradient, merge_sparse_gradie
 
 
 def make_bag(rows=16, dim=4, seed=0):
-    return EmbeddingBag(rows, dim, np.random.default_rng(seed))
+    return EmbeddingBag(rows, dim, np.random.default_rng(seed), dtype=np.float64)
 
 
 def test_forward_sums_selected_rows():
@@ -145,4 +145,4 @@ def test_rows_bytes_and_parameter_count():
 
 def test_invalid_construction_raises():
     with pytest.raises(ValueError):
-        EmbeddingBag(0, 4, np.random.default_rng(0))
+        EmbeddingBag(0, 4, np.random.default_rng(0), dtype=np.float64)

@@ -8,19 +8,19 @@ from tests.helpers import assert_gradients_close, numerical_gradient
 
 
 def test_linear_forward_shape(rng):
-    layer = Linear(5, 3, rng)
+    layer = Linear(5, 3, rng, dtype=np.float64)
     out = layer.forward(rng.normal(size=(7, 5)))
     assert out.shape == (7, 3)
 
 
 def test_linear_forward_matches_manual(rng):
-    layer = Linear(4, 2, rng)
+    layer = Linear(4, 2, rng, dtype=np.float64)
     x = rng.normal(size=(3, 4))
     np.testing.assert_allclose(layer.forward(x), x @ layer.weight + layer.bias)
 
 
 def test_linear_backward_weight_gradient_matches_numeric(rng):
-    layer = Linear(4, 3, rng)
+    layer = Linear(4, 3, rng, dtype=np.float64)
     x = rng.normal(size=(6, 4))
 
     def loss_fn(_w):
@@ -34,7 +34,7 @@ def test_linear_backward_weight_gradient_matches_numeric(rng):
 
 
 def test_linear_backward_input_gradient_matches_numeric(rng):
-    layer = Linear(4, 3, rng)
+    layer = Linear(4, 3, rng, dtype=np.float64)
     x = rng.normal(size=(5, 4))
 
     def loss_fn(x_in):
@@ -47,7 +47,7 @@ def test_linear_backward_input_gradient_matches_numeric(rng):
 
 
 def test_linear_gradients_accumulate_across_backwards(rng):
-    layer = Linear(3, 2, rng)
+    layer = Linear(3, 2, rng, dtype=np.float64)
     x = rng.normal(size=(4, 3))
     layer.forward(x)
     layer.backward(np.ones((4, 2)))
@@ -58,7 +58,7 @@ def test_linear_gradients_accumulate_across_backwards(rng):
 
 
 def test_linear_zero_grad_resets(rng):
-    layer = Linear(3, 2, rng)
+    layer = Linear(3, 2, rng, dtype=np.float64)
     layer.forward(rng.normal(size=(4, 3)))
     layer.backward(np.ones((4, 2)))
     layer.zero_grad()
@@ -67,7 +67,7 @@ def test_linear_zero_grad_resets(rng):
 
 
 def test_linear_backward_before_forward_raises(rng):
-    layer = Linear(3, 2, rng)
+    layer = Linear(3, 2, rng, dtype=np.float64)
     with pytest.raises(RuntimeError):
         layer.backward(np.ones((4, 2)))
 
@@ -118,5 +118,5 @@ def test_sigmoid_backward_matches_numeric(rng):
 
 
 def test_layer_parameter_counts(rng):
-    layer = Linear(10, 5, rng)
+    layer = Linear(10, 5, rng, dtype=np.float64)
     assert layer.num_parameters == 10 * 5 + 5

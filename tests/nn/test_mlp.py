@@ -8,7 +8,7 @@ from tests.helpers import assert_gradients_close, numerical_gradient
 
 
 def test_mlp_from_arch_string(rng):
-    mlp = MLP.from_arch_string("13-64-32-16", rng)
+    mlp = MLP.from_arch_string("13-64-32-16", rng, dtype=np.float64)
     assert mlp.layer_sizes == [13, 64, 32, 16]
     out = mlp.forward(rng.normal(size=(4, 13)))
     assert out.shape == (4, 16)
@@ -16,17 +16,17 @@ def test_mlp_from_arch_string(rng):
 
 def test_mlp_requires_two_sizes(rng):
     with pytest.raises(ValueError):
-        MLP([8], rng)
+        MLP([8], rng, dtype=np.float64)
 
 
 def test_mlp_sigmoid_output_bounded(rng):
-    mlp = MLP([4, 8, 1], rng, sigmoid_output=True)
+    mlp = MLP([4, 8, 1], rng, sigmoid_output=True, dtype=np.float64)
     out = mlp.forward(rng.normal(scale=5.0, size=(16, 4)))
     assert np.all((out >= 0.0) & (out <= 1.0))
 
 
 def test_mlp_backward_matches_numeric_on_inputs(rng):
-    mlp = MLP([3, 6, 2], rng)
+    mlp = MLP([3, 6, 2], rng, dtype=np.float64)
     x = rng.normal(size=(5, 3))
 
     def loss_fn(x_in):
@@ -39,7 +39,7 @@ def test_mlp_backward_matches_numeric_on_inputs(rng):
 
 
 def test_mlp_backward_matches_numeric_on_weights(rng):
-    mlp = MLP([3, 4, 1], rng)
+    mlp = MLP([3, 4, 1], rng, dtype=np.float64)
     x = rng.normal(size=(6, 3))
     target_layer = mlp.layers[0]
 
@@ -54,24 +54,24 @@ def test_mlp_backward_matches_numeric_on_weights(rng):
 
 
 def test_mlp_parameter_count(rng):
-    mlp = MLP([4, 8, 2], rng)
+    mlp = MLP([4, 8, 2], rng, dtype=np.float64)
     assert mlp.num_parameters == (4 * 8 + 8) + (8 * 2 + 2)
 
 
 def test_mlp_flops_per_sample(rng):
     # Per layer: 2*fan_in*fan_out MACs + fan_out bias adds, plus fan_out
     # activation ops for every non-final layer (ReLU).
-    mlp = MLP([4, 8, 2], rng)
+    mlp = MLP([4, 8, 2], rng, dtype=np.float64)
     assert mlp.flops_per_sample == (2 * 4 * 8 + 8 + 8) + (2 * 8 * 2 + 2)
 
 
 def test_mlp_flops_per_sample_counts_output_sigmoid(rng):
-    mlp = MLP([4, 8, 2], rng, sigmoid_output=True)
+    mlp = MLP([4, 8, 2], rng, sigmoid_output=True, dtype=np.float64)
     assert mlp.flops_per_sample == (2 * 4 * 8 + 8 + 8) + (2 * 8 * 2 + 2 + 2)
 
 
 def test_mlp_zero_grad_resets_all_layers(rng):
-    mlp = MLP([3, 5, 1], rng)
+    mlp = MLP([3, 5, 1], rng, dtype=np.float64)
     x = rng.normal(size=(4, 3))
     out = mlp.forward(x)
     mlp.backward(np.ones_like(out))

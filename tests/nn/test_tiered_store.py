@@ -85,7 +85,7 @@ def test_bookkeeping_is_resident_set_sized():
 
 def test_embedding_bag_resolves_through_tier_transparently():
     rng = np.random.default_rng(11)
-    bag = EmbeddingBag(64, 4, rng)
+    bag = EmbeddingBag(64, 4, rng, dtype=np.float64)
     baseline_weight = bag.weight.copy()
     block = rng.integers(0, 64, size=(8, 3))
     expected = bag.forward(block)
@@ -108,7 +108,7 @@ def test_embedding_bag_resolves_through_tier_transparently():
 
 def test_attach_tier_validates_shape():
     rng = np.random.default_rng(0)
-    bag = EmbeddingBag(64, 4, rng)
+    bag = EmbeddingBag(64, 4, rng, dtype=np.float64)
     tier = make_tier(rows=(32, 64))
     try:
         bag.attach_tier(tier, 0)  # table 0 has 32 rows, bag has 64

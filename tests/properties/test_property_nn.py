@@ -13,7 +13,7 @@ from repro.nn.mlp import MLP
 @settings(max_examples=40, deadline=None)
 def test_embedding_forward_backward_shapes(batch, pooling, seed):
     rng = np.random.default_rng(seed)
-    bag = EmbeddingBag(64, 8, rng)
+    bag = EmbeddingBag(64, 8, rng, dtype=np.float64)
     indices = [rng.integers(0, 64, size=pooling) for _ in range(batch)]
     out = bag.forward(indices)
     assert out.shape == (batch, 8)
@@ -29,8 +29,8 @@ def test_embedding_forward_backward_shapes(batch, pooling, seed):
 def test_mlp_deterministic_given_seed(seed, batch):
     rng_data = np.random.default_rng(seed)
     x = rng_data.normal(size=(batch, 6))
-    a = MLP([6, 12, 3], np.random.default_rng(seed))
-    b = MLP([6, 12, 3], np.random.default_rng(seed))
+    a = MLP([6, 12, 3], np.random.default_rng(seed), dtype=np.float64)
+    b = MLP([6, 12, 3], np.random.default_rng(seed), dtype=np.float64)
     np.testing.assert_allclose(a.forward(x), b.forward(x))
 
 
