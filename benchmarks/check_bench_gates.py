@@ -2,7 +2,7 @@
 
 Benchmarks in this directory record every measurement but only *enforce*
 their wall-clock gates where the measurement means something (quiet
-hardware via ``BENCH_STRICT``, enough cores for parallel speedups).  That
+hardware via ``BENCH_STRICT``).  That
 honesty has a failure mode: a benchmark could measure a speedup below its
 own gate, skip the in-test assertion, and the suite would still go green.
 

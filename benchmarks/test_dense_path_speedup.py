@@ -6,20 +6,21 @@ MLP GEMMs with few large ones, in two composable pieces:
 * **Segment-packed µ-batch MLPs** — ``fused_loss_and_gradients`` runs the
   bottom MLP, interaction, and top MLP over one contiguous packed block
   instead of once per µ-batch segment (``batched=True``, the default).
-* **Replica-stacked sync GEMMs** — in stale-0/sync mode all K replicas
-  hold bit-identical weights, so :class:`~repro.core.distributed.
-  ShardedHotlineTrainer` stacks the K shards' dense passes into one
-  global-batch GEMM per layer (``dense_batching="replica"``, the
-  default), turning K·segments small GEMMs into one.
+* **Replica-stacked GEMMs** — all K replicas hold bit-identical weights,
+  so :class:`~repro.core.distributed.ShardedHotlineTrainer` stacks the K
+  shards' dense passes into one global-batch GEMM per layer, turning
+  K·segments small GEMMs into one.
 
-Both are bit-identical to the retained sequential path (the parity grid
-in ``tests/core/test_batched_dense.py``; asserted end-to-end here before
+Both are bit-identical to the sequential oracles (the parity grid in
+``tests/core/test_batched_dense.py``; asserted end-to-end here before
 timing anything).
 
 Two measurements on the fig18 config (RM2.scaled, batch 256):
 
 * **Sharded fig18 step, K=4 sync** — the headline: replica stacking plus
-  segment packing vs the PR 6 per-replica sequential path.  Measured
+  segment packing vs the per-replica sequential oracle
+  (:class:`repro.reference.SequentialShardedTrainer` on an unbatched
+  model: one pass per µ-batch on each replica).  Measured
   ~1.25-1.35x on the single-core container (gated >= 1.15x under
   ``BENCH_STRICT``): per-shard µ-batches are ~32 rows, where BLAS
   efficiency and per-call overhead are worst, so stacking 4 shards x 2
@@ -49,9 +50,10 @@ from repro.core.pipeline import HotlineTrainer
 from repro.data import MiniBatchLoader, generate_click_log
 from repro.models import RM2
 from repro.models.dlrm import DLRM
+from repro.reference import SequentialShardedTrainer
 
-#: The replica-stacked + packed dense path must beat the PR 6 sequential
-#: per-replica path by this factor on the sharded fig18 config.
+#: The replica-stacked + packed dense path must beat the per-replica
+#: sequential oracle by this factor on the sharded fig18 config.
 MIN_STACKED_SPEEDUP = 1.15
 #: Packing alone (single trainer) must never *lose* to sequential.
 MAX_PACKED_SLOWDOWN = 1.05
@@ -82,13 +84,12 @@ def make_single_trainer(config, log, *, batched):
     return trainer
 
 
-def make_sharded_trainer(config, log, *, batched, dense_batching):
-    trainer = ShardedHotlineTrainer(
+def make_sharded_trainer(config, log, *, trainer_cls, batched):
+    trainer = trainer_cls(
         DLRM(config, seed=13, batched=batched),
         NUM_SHARDS,
         lr=0.3,
         sample_fraction=0.25,
-        dense_batching=dense_batching,
     )
     trainer.bind(MiniBatchLoader(log, batch_size=BATCH_SIZE))
     return trainer
@@ -135,12 +136,14 @@ def assert_sharded_parity(reference, stacked, batch):
 
 
 def test_replica_stacked_dense_path_fig18(benchmark):
-    """K=4 sync sharded step: replica-stacked + packed vs PR 6 sequential."""
+    """K=4 sync sharded step: replica-stacked + packed vs the sequential oracle."""
     config, log = fig18_workload()
     sequential = make_sharded_trainer(
-        config, log, batched=False, dense_batching="per-replica"
+        config, log, trainer_cls=SequentialShardedTrainer, batched=False
     )
-    stacked = make_sharded_trainer(config, log, batched=True, dense_batching="replica")
+    stacked = make_sharded_trainer(
+        config, log, trainer_cls=ShardedHotlineTrainer, batched=True
+    )
     batches = list(MiniBatchLoader(log, batch_size=BATCH_SIZE))
 
     assert_sharded_parity(sequential, stacked, batches[0])
@@ -168,7 +171,7 @@ def test_replica_stacked_dense_path_fig18(benchmark):
     record_bench(
         "dense_path_fig18",
         config=f"RM2.scaled(1200) batch={BATCH_SIZE}, K={NUM_SHARDS} sync "
-        "shards, replica-stacked packed GEMMs vs per-replica sequential",
+        "shards, replica-stacked packed GEMMs vs per-replica sequential oracle",
         seconds=stacked_s / steps,
         speedup=speedup,
         gate=MIN_STACKED_SPEEDUP,

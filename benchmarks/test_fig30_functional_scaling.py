@@ -1,11 +1,11 @@
 """Figure 30 companion — multi-node scaling from a *functional* sharded run.
 
 The original fig30 rows come from the timing model alone.  Here the
-:class:`~repro.core.distributed.MergedGradientShardedTrainer` (the shared-
-replica K-shard path — the cheapest route to the bit-identical result; the
-true multi-replica trainer has its own sweep in ``fig30r``) actually trains
-a (scaled-down) DLRM at 4 shards per node and the engine reports per-shard
-compute plus the dense all-reduce term from :mod:`repro.hwsim.collectives`.
+:class:`~repro.core.distributed.ShardedHotlineTrainer` (sync mode, the dense
+all-reduce in one bucket; the reducer modes have their own sweep in
+``fig30r``) actually trains a (scaled-down) DLRM at 4 shards per node and
+the engine reports per-shard compute plus the dense all-reduce term from
+:mod:`repro.hwsim.collectives`.
 The paper-shaped claims checked:
 
 * the recorded losses are numerically identical at every node count — the
@@ -13,7 +13,17 @@ The paper-shaped claims checked:
   scaling out does not change what the model learns;
 * the communication term grows with the node count and matches the
   hierarchical all-reduce cost model exactly.
+
+The experiment runs in a child process.  Its 16 replicas grow the malloc
+heap of the process that trains them by ~700 MB, and glibc keeps that heap
+mapped after the trainers are freed.  In the pytest process that memory
+would stay resident for every later test, and allocation-timing benchmarks
+(``test_hotset_delta_speedup``) would time reused heap instead of fresh
+pages.
 """
+
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -23,8 +33,14 @@ from repro.hwsim.cluster import multi_node
 from repro.hwsim.collectives import hierarchical_allreduce_time
 
 
+def run_in_child(experiment_id: str) -> dict:
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
+        return pool.submit(run_experiment, experiment_id).result()
+
+
 def test_fig30f_functional_scaling(benchmark):
-    data = benchmark.pedantic(lambda: run_experiment("fig30f"), rounds=1, iterations=1)
+    data = benchmark.pedantic(lambda: run_in_child("fig30f"), rounds=1, iterations=1)
     rows = [
         (
             label,

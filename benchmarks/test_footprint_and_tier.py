@@ -51,9 +51,7 @@ def test_pending_store_peak_bytes_window_bound(benchmark):
     ]
 
     def drive():
-        pipe = CachedEmbeddingPipeline(
-            (TABLE_ROWS,), window=window, staleness=staleness, pending_store="flat"
-        )
+        pipe = CachedEmbeddingPipeline((TABLE_ROWS,), window=window, staleness=staleness)
         pipe.begin_epoch(iter([[rows] for rows in batches]))
         window_rows = 0
         for rows, grad in zip(batches[:steps], grads[:steps], strict=False):

@@ -1,11 +1,12 @@
 """Fused µ-batch execution on the Figure 18 config: parity + step time.
 
 Hotline's acceleration phase trains every mini-batch as a popular and a
-non-popular µ-batch.  The fused execution path (PR 5, default on) runs the
+non-popular µ-batch.  :class:`~repro.core.pipeline.HotlineTrainer` runs the
 two µ-batches through **one** embedding gather and **one** scatter per
 table instead of two of each, with per-µ-batch MLP passes untouched — the
-update is **bit-identical** to the sequential two-pass schedule (asserted
-here end-to-end, and enforced by ``tests/core/test_fused_microbatch.py``).
+update is **bit-identical** to the sequential two-pass oracle
+(:class:`repro.reference.SequentialHotlineTrainer`; asserted here
+end-to-end, and enforced by ``tests/core/test_fused_microbatch.py``).
 
 The step-time claim is bounded by Amdahl: on the Figure 18 config the MLP
 and interaction passes dominate (~85 % of a step under cProfile), so
@@ -31,6 +32,7 @@ from repro.core.pipeline import HotlineTrainer
 from repro.data import MiniBatchLoader, generate_click_log
 from repro.models import RM2
 from repro.models.dlrm import DLRM
+from repro.reference import SequentialHotlineTrainer
 
 #: The fused path must not regress the Figure 18 step time beyond noise.
 #: Ratcheted 1.05 -> 1.04 once interleaved timing alternated the A/B order
@@ -44,13 +46,13 @@ from repro.models.dlrm import DLRM
 MAX_SLOWDOWN = 1.02
 
 
-def make_trainer(config, log, fused):
+def make_trainer(config, log, trainer_cls):
     accelerator = HotlineAccelerator(
         row_bytes=config.embedding_dim * 4,
         eal_config=EALConfig(size_bytes=1 << 17, ways=16),
     )
-    trainer = HotlineTrainer(
-        DLRM(config, seed=13), accelerator, lr=0.3, sample_fraction=0.25, fused=fused
+    trainer = trainer_cls(
+        DLRM(config, seed=13), accelerator, lr=0.3, sample_fraction=0.25
     )
     trainer.learning_phase(MiniBatchLoader(log, batch_size=256))
     return trainer
@@ -61,8 +63,8 @@ def test_fused_step_matches_and_does_not_regress(benchmark):
     log = generate_click_log(config.dataset, 3072, seed=41)
     batches = list(MiniBatchLoader(log, batch_size=256))
 
-    fused = make_trainer(config, log, fused=True)
-    sequential = make_trainer(config, log, fused=False)
+    fused = make_trainer(config, log, HotlineTrainer)
+    sequential = make_trainer(config, log, SequentialHotlineTrainer)
 
     # Bit-identity first (one full epoch): losses and every parameter.
     fused_losses = [fused.train_step(batch)[0] for batch in batches]

@@ -113,7 +113,7 @@ def make_trainer(config, log):
         eal_config=EALConfig(size_bytes=1 << 17, ways=16),
     )
     trainer = HotlineTrainer(
-        DLRM(config, seed=13), accelerator, lr=0.3, sample_fraction=0.25, fused=True
+        DLRM(config, seed=13), accelerator, lr=0.3, sample_fraction=0.25
     )
     trainer.learning_phase(MiniBatchLoader(log, batch_size=256))
     return trainer

@@ -5,7 +5,8 @@ The lookahead cache's deferred write-back store moved from per-table
 :class:`~repro.core.lookahead.FlatPendingStore` — a dense gradient
 accumulation buffer + pending bitmap + birth-step array with a birth-bucket
 age index, all driven by vectorised scatters and boolean masks.  This
-benchmark drives both stores through the same defer → age-flush → take
+benchmark drives it and the dict reference
+(:class:`repro.reference.ReferencePendingStore`) through the same defer → age-flush → take
 cycle the :class:`~repro.core.lookahead.CachedEmbeddingPipeline` performs
 each training step, at RM1-scale nnz (a 2048-sample Taobao batch touches
 tens of thousands of unique rows per step across the 21-lookup history
@@ -26,9 +27,10 @@ import time
 import numpy as np
 
 from benchmarks.figutils import record_bench
-from repro.core.lookahead import FlatPendingStore, ReferencePendingStore
+from repro.core.lookahead import FlatPendingStore
 from repro.models import RM1
 from repro.nn.embedding import SparseGradient
+from repro.reference import ReferencePendingStore
 
 #: Minimum speedup of the flat store over the dict reference (see the
 #: module docstring for why this sits below the typical ~5× measurement).

@@ -67,7 +67,6 @@ def make_trainer(config, log, stacked, batch_size):
         accelerator,
         lr=0.3,
         sample_fraction=0.25,
-        fused=True,
     )
     trainer.learning_phase(MiniBatchLoader(log, batch_size=batch_size))
     return trainer

@@ -27,17 +27,20 @@ This package implements the paper's contribution:
 * :mod:`repro.core.pipeline` — the single-replica executors: the baseline
   :class:`~repro.core.pipeline.ReferenceTrainer` and the Hotline
   :class:`~repro.core.pipeline.HotlineTrainer` (learning phase +
-  acceleration phase).
+  acceleration phase, one fused step over both µ-batches).
 * :mod:`repro.core.distributed` — true multi-replica data/model-parallel
   training: :class:`~repro.core.distributed.ShardedHotlineTrainer` trains
   K genuinely separate replicas synchronised through a bucketed dense
   all-reduce (:class:`~repro.core.reducer.GradientBucketReducer`, with
   ``sync``/``overlap``/``stale-<k>`` modes) and a deterministic sparse
   exchange, optionally with row-partitioned embedding tables
-  (:class:`~repro.core.placement.PartitionedEmbeddingPlacement`).  The
-  PR 2 shared-replica path survives as
-  :class:`~repro.core.distributed.MergedGradientShardedTrainer`, the
-  bit-parity reference of the replica test harness.
+  (:class:`~repro.core.placement.PartitionedEmbeddingPlacement`).  Each
+  step runs every shard's µ-batches as one stacked dense pass.
+
+Each trainer has one execution path.  The slower originals they are
+checked against (sequential µ-batch steps, the shared-model merged-gradient
+trainer, the dict pending store) live in :mod:`repro.reference`, which
+nothing in this package imports.
 * :mod:`repro.core.lookahead` — the BagPipe-style bounded-staleness
   embedding pipeline: :class:`~repro.core.lookahead.CachedEmbeddingPipeline`
   walks the loader's eager epoch order a window ahead, prefetches upcoming
@@ -53,11 +56,7 @@ from repro.core.accelerator import (
 )
 from repro.core.classifier import MicroBatches, split_minibatch
 from repro.core.dispatcher import AddressRegisters, DataDispatcher, InputEDRAM
-from repro.core.distributed import (
-    MergedGradientShardedTrainer,
-    ShardedHotlineTrainer,
-    ShardReplica,
-)
+from repro.core.distributed import ShardedHotlineTrainer, ShardReplica
 from repro.core.eal import (
     EALConfig,
     EmbeddingAccessLogger,
@@ -131,7 +130,6 @@ __all__ = [
     "ReferenceTrainer",
     "HotlineTrainer",
     "ShardedHotlineTrainer",
-    "MergedGradientShardedTrainer",
     "ShardReplica",
     "CachedEmbeddingPipeline",
     "LookaheadStats",

@@ -46,14 +46,25 @@ and no per-shard parameter state.  This module removes it:
   replica keeps a coherent full copy, so partitioning changes
   *communication accounting*, never numerics.
 
+**One dense pass per step.**  Replicas apply identical updates, so they
+hold bit-identical weights in every reducer mode (stale-k included:
+staleness is uniform).  Each step therefore classifies every shard against
+its own replica's placement and then runs all K shards' µ-batches as one
+segment-packed forward/backward on replica 0's model, one segment per
+(shard, µ-batch) in rank-major order.  The per-segment dense partials and
+sparse partials that pass yields are exactly the ones K per-replica passes
+would produce, in the order the reducer and the sparse exchange consume
+them.
+
 **The parity guarantee.**  In ``sync`` (and ``overlap``) mode the K-replica
-run is **bit-identical** to the PR 2 merged-gradient trainer, which is kept
-here as :class:`MergedGradientShardedTrainer` — the numerical reference the
-``tests/core/test_replica_parity.py`` harness compares against for
-K ∈ {1, 2, 4} on DLRM and TBSM.  The guarantee holds because every
-floating-point addition happens in the same order: each replica's
-per-µ-batch gradient partials are chain-summed by the reducer in the same
-rank-major sequence the shared model accumulated them in its layers, and
+run is **bit-identical** to the merged-gradient trainer that accumulates
+every shard's gradients in one shared model
+(:class:`repro.reference.MergedGradientShardedTrainer`), which
+``tests/core/test_replica_parity.py`` compares against for K ∈ {1, 2, 4}
+on DLRM and TBSM.  The guarantee holds because every floating-point
+addition happens in the same order: the per-(shard, µ-batch) dense
+partials are chain-summed by the reducer in the same rank-major sequence
+the shared model accumulates them in its layers, and
 ``merge_sparse_gradients`` sees the identical ordered partial list.  All
 replicas apply identical updates, so they stay bit-identical to each other
 (:meth:`ShardedHotlineTrainer.replica_drift` is exactly zero) — a property
@@ -71,16 +82,14 @@ from __future__ import annotations
 
 import copy
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from time import perf_counter
 from typing import Any
 
 import numpy as np
 
 from repro.baselines.base import ExecutionModel
 from repro.core.accelerator import HotlineAccelerator
-from repro.core.classifier import split_minibatch
+from repro.core.classifier import MicroBatches, split_minibatch
 from repro.core.engine import StepExecutor, StepOutcome, TrainingEngine, TrainingResult
 from repro.core.lookahead import (
     CachedEmbeddingPipeline,
@@ -94,11 +103,7 @@ from repro.data.batch import MiniBatch
 from repro.data.loader import MiniBatchLoader
 from repro.hwsim.cluster import Cluster, single_node
 from repro.hwsim.collectives import comm_op_time
-from repro.nn.embedding import (
-    SparseGradient,
-    TieredEmbeddingStore,
-    merge_sparse_gradients,
-)
+from repro.nn.embedding import SparseGradient, TieredEmbeddingStore
 
 
 @dataclass
@@ -110,8 +115,7 @@ class ShardReplica:
         placement: The shard's EAL-derived embedding placement, built by the
             learning phase.
         model: The replica's own model instance (dense parameters, embedding
-            tables, and gradient state).  ``None`` in the merged-gradient
-            reference trainer, where one shared instance stands in for all.
+            tables, and gradient state).
     """
 
     accelerator: HotlineAccelerator
@@ -119,223 +123,7 @@ class ShardReplica:
     model: Any = None
 
 
-class _ShardedTrainerBase(StepExecutor):
-    """Shared scaffolding of the K-shard trainers (learning phase, timing).
-
-    Subclasses provide the synchronisation strategy: the merged-gradient
-    reference accumulates into one shared model, the true multi-replica
-    trainer reduces explicit per-replica gradients.
-    """
-
-    def __init__(
-        self,
-        model,
-        num_shards: int,
-        *,
-        cluster: Cluster | None = None,
-        lr: float = 0.05,
-        sample_fraction: float = 0.05,
-        hbm_budget_bytes: float = 512 * 1024 * 1024,
-        perf_model: ExecutionModel | None = None,
-        seed: int = 0,
-    ):
-        if num_shards <= 0:
-            raise ValueError("num_shards must be positive")
-        self.model = model
-        self.num_shards = num_shards
-        self.cluster = cluster or single_node(num_shards)
-        if self.cluster.total_gpus != num_shards:
-            raise ValueError(
-                f"cluster has {self.cluster.total_gpus} GPUs but {num_shards} shards "
-                "were requested (one shard per GPU)"
-            )
-        self.lr = lr
-        self.sample_fraction = sample_fraction
-        self.hbm_budget_bytes = hbm_budget_bytes
-        self.perf_model = perf_model
-        row_bytes = model.config.embedding_dim * model.config.dtype_bytes
-        self.replicas: list[ShardReplica] = [
-            ShardReplica(accelerator=HotlineAccelerator(row_bytes=row_bytes, seed=seed + k))
-            for k in range(num_shards)
-        ]
-
-    # ------------------------------------------------------------------ #
-    # Learning phase (per shard)
-    # ------------------------------------------------------------------ #
-    def learning_phase(self, loader: MiniBatchLoader, seed: int = 0) -> list[EmbeddingPlacement]:
-        """Profile each shard's slice of the sampled batches into its EAL.
-
-        Every shard sees only its own contiguous slice of each sampled
-        mini-batch — the same data it will train on — so its placement
-        tracks the skew of *its* partition, exactly as a per-node EAL would.
-        """
-        sampled = loader.sample_batches(self.sample_fraction, seed=seed)
-        for batch in sampled:
-            shards = batch.shards(self.num_shards)
-            for shard_batch, replica in zip(shards, self.replicas, strict=True):
-                if shard_batch.size:
-                    replica.accelerator.learn_from_batch(shard_batch.sparse)
-        config = self.model.config
-        num_tables = config.num_sparse_features
-        for replica in self.replicas:
-            hot_sets = replica.accelerator.hot_sets(num_tables)
-            if replica.placement is None:
-                replica.placement = EmbeddingPlacement(
-                    hot_sets=hot_sets,
-                    rows_per_table=config.dataset.rows_per_table,
-                    embedding_dim=config.embedding_dim,
-                    dtype_bytes=config.dtype_bytes,
-                    hbm_budget_bytes=self.hbm_budget_bytes,
-                )
-            else:
-                replica.placement.update_hot_sets(hot_sets)
-        return [replica.placement for replica in self.replicas]
-
-    def recalibrate(self, loader: MiniBatchLoader, seed: int = 0) -> None:
-        """Re-enter the learning phase on every shard's EAL."""
-        for replica in self.replicas:
-            replica.accelerator.recalibrate()
-        self.learning_phase(loader, seed=seed)
-
-    # ------------------------------------------------------------------ #
-    # Simulated timing
-    # ------------------------------------------------------------------ #
-    def shard_compute_time(self, batch_size: int) -> float:
-        """Simulated compute time of one data-parallel step, sans collective.
-
-        The perf model's cost layer already apportions a *global* batch
-        across the cluster's GPUs (one shard each here), so it receives the
-        full mini-batch size; dividing by ``num_shards`` first would charge
-        each GPU for ``batch/K²`` samples.  The collective term is carved
-        out because it is accounted separately (``dense_sync_time`` /
-        the reducer's bucket schedule).
-        """
-        if self.perf_model is None:
-            return 0.0
-        # Same arithmetic as StepExecutor.timed_outcome's split
-        # (step - min(step, collective) == max(0, step - collective)).
-        step_time = self.perf_model.step_time(batch_size)
-        return max(0.0, step_time - self.perf_model.collective_time())
-
-    # ------------------------------------------------------------------ #
-    # StepExecutor interface
-    # ------------------------------------------------------------------ #
-    def bind(self, loader: MiniBatchLoader) -> None:
-        """Run the per-shard learning phase if any shard lacks a placement."""
-        if any(replica.placement is None for replica in self.replicas):
-            self.learning_phase(loader)
-
-    def train(
-        self,
-        loader: MiniBatchLoader,
-        *,
-        epochs: int = 1,
-        eval_batch: MiniBatch | None = None,
-        eval_every: int = 0,
-        recalibrations_per_epoch: int = 0,
-    ) -> TrainingResult:
-        """Train for ``epochs`` epochs with the sharded Hotline schedule."""
-        return TrainingEngine(self).train(
-            loader,
-            epochs=epochs,
-            eval_batch=eval_batch,
-            eval_every=eval_every,
-            recalibrations_per_epoch=recalibrations_per_epoch,
-        )
-
-
-class MergedGradientShardedTrainer(_ShardedTrainerBase):
-    """The PR 2 shared-replica K-shard trainer, kept as the parity reference.
-
-    One shared model instance stands in for all K replicas: every shard's
-    µ-batch gradients accumulate in the shared layers (the functional
-    equivalent of a dense all-reduce when all updates are identical) and
-    per-table sparse gradients merge once across shards.  Because every
-    µ-batch is normalised by the *global* mini-batch size, the accumulated
-    K-shard update is numerically equivalent to the single-replica update
-    (Eq. 5 extended across shards).
-
-    :class:`ShardedHotlineTrainer` must produce **bit-identical** results to
-    this trainer in ``sync``/``overlap`` mode — the headline guarantee of
-    the replica-parity test harness.  Keep this implementation as-is; it
-    plays the same ground-truth role the loop-based ``reference_forward`` /
-    ``reference_backward`` play for the vectorised embedding hot path.
-    """
-
-    def train_step(self, batch: MiniBatch) -> tuple[float, float]:
-        """One merged-gradient step over the K shards of ``batch``.
-
-        Returns:
-            ``(loss, popular_fraction)`` summed / averaged over the batch.
-        """
-        if any(replica.placement is None for replica in self.replicas):
-            raise RuntimeError("learning_phase must run before training")
-        self.model.zero_grad()
-        total_loss = 0.0
-        popular_size = 0
-        partial_sparse: list[list[SparseGradient]] = [
-            [] for _ in range(self.model.config.num_sparse_features)
-        ]
-        for shard_batch, replica in zip(batch.shards(self.num_shards), self.replicas, strict=True):
-            if shard_batch.size == 0:
-                continue
-            micro = split_minibatch(shard_batch, replica.placement.index)
-            popular_size += micro.popular.size
-            for micro_batch in (micro.popular, micro.non_popular):
-                if micro_batch.size == 0:
-                    continue
-                # Global-batch normalisation keeps the accumulated K-shard
-                # update identical to the single-replica one (Eq. 5).
-                loss, sparse_grads = self.model.loss_and_gradients(
-                    micro_batch, normalizer=batch.size
-                )
-                total_loss += loss
-                for table, grad in enumerate(sparse_grads):
-                    partial_sparse[table].append(grad)
-        merged = [merge_sparse_gradients(grads) for grads in partial_sparse]
-        self.model.apply_dense_update(self.lr)
-        self.model.apply_sparse_updates(merged, self.lr)
-        popular_fraction = popular_size / batch.size if batch.size else 0.0
-        return total_loss, popular_fraction
-
-    #: ``(config key, wire time)`` of the most recent pricing, or ``None``.
-    _dense_sync_time_cache: tuple[tuple, float] | None = None
-
-    def dense_sync_time(self) -> float:
-        """Simulated dense all-reduce, priced as one unbucketed collective.
-
-        The wire time is constant while the gradient size, shard count, and
-        cluster stay fixed, so it is cached — but the cache is *keyed* on
-        that configuration: a trainer reconfigured mid-run (e.g. a swapped
-        cluster) re-prices instead of reporting the stale time.
-        """
-        key = (self.num_shards, self.model.num_dense_parameters, self.cluster)
-        if self._dense_sync_time_cache is None or self._dense_sync_time_cache[0] != key:
-            reducer = GradientBucketReducer(
-                self.num_shards,
-                bucket_bytes=max(4, self.model.num_dense_parameters * 4),
-                cluster=self.cluster,
-            )
-            self._dense_sync_time_cache = (
-                key,
-                reducer.step_schedule(self.model.num_dense_parameters).total_s,
-            )
-        return self._dense_sync_time_cache[1]
-
-    def run_step(self, batch: MiniBatch) -> StepOutcome:
-        """One merged step reported to the engine with its comm term."""
-        loss, popular_fraction = self.train_step(batch)
-        dense_sync = self.dense_sync_time()
-        return StepOutcome(
-            loss=loss,
-            popular_fraction=popular_fraction,
-            compute_time_s=self.shard_compute_time(batch.size),
-            communication_time_s=dense_sync,
-            comm_lanes_s=(("dense-allreduce", dense_sync),),
-        )
-
-
-class ShardedHotlineTrainer(_ShardedTrainerBase):
+class ShardedHotlineTrainer(StepExecutor):
     """Hotline training over K genuinely separate model replicas.
 
     Each replica owns its own dense parameters, optimizer state, embedding
@@ -384,25 +172,6 @@ class ShardedHotlineTrainer(_ShardedTrainerBase):
             authoritative for pricing: the reducer is re-pointed at it on
             the first priced step, so a mid-run ``trainer.cluster`` swap
             re-prices every communication term consistently.
-        fused: Fused µ-batch execution (default on): each replica trains its
-            popular and non-popular µ-batches through one embedding gather
-            and one scatter per table
-            (:meth:`~repro.models.dlrm.DLRM.fused_loss_and_gradients`),
-            while per-µ-batch dense partials and sparse-gradient ordering
-            are preserved — bit-identical to the sequential two-pass path
-            kept under ``fused=False`` for the parity suite.
-        pending_store: Deferred write-back store of the lookahead pipeline
-            (``"flat"`` = vectorised flat arrays, ``"reference"`` = the
-            dict-based parity reference); forwarded to
-            :class:`~repro.core.lookahead.CachedEmbeddingPipeline`.
-        parallel_workers: Size of the shared thread pool the K replicas'
-            forward/backward passes run on (numpy's BLAS kernels release
-            the GIL, so replicas genuinely overlap).  Results are collected
-            **by replica index** and assembled in the same replica-major
-            order the sequential loop produces, so the reducer and sparse
-            exchange see identical ordered partial lists — bit-identical
-            numerics for any worker count (the parity suite sweeps K ×
-            workers).  ``1`` (default) keeps the sequential in-thread loop.
         per_shard_lookahead: Give each replica its own *accounting*
             lookahead cache keyed to its contiguous shard slice of every
             batch (:func:`~repro.core.lookahead.shard_epoch_row_stream`),
@@ -422,9 +191,11 @@ class ShardedHotlineTrainer(_ShardedTrainerBase):
             pricing and hit/miss/eviction counters only), and LFU
             eviction keeps the resident set within capacity.  Tier
             counters surface through
-            :class:`~repro.core.engine.StepOutcome`.  Note the tier hooks
-            :meth:`~repro.nn.embedding.EmbeddingBag.forward`; models
-            driving a stacked store's fused gather directly bypass it.
+            :class:`~repro.core.engine.StepOutcome`.  The tier hooks
+            :meth:`~repro.nn.embedding.EmbeddingBag.forward`, which a
+            model built with ``stacked=True`` bypasses (its fused gather
+            reads the stacked store directly), so that combination is
+            rejected.
     """
 
     def __init__(
@@ -444,23 +215,33 @@ class ShardedHotlineTrainer(_ShardedTrainerBase):
         partition_embeddings: bool = False,
         lookahead_window: int = 0,
         reducer: GradientBucketReducer | None = None,
-        fused: bool = True,
-        pending_store: str = "flat",
-        parallel_workers: int = 1,
-        dense_batching: str = "replica",
         per_shard_lookahead: bool = False,
         tiered_hot_bytes: float | None = None,
     ):
-        super().__init__(
-            model,
-            num_shards,
-            cluster=cluster,
-            lr=lr,
-            sample_fraction=sample_fraction,
-            hbm_budget_bytes=hbm_budget_bytes,
-            perf_model=perf_model,
-            seed=seed,
-        )
+        if num_shards <= 0:
+            raise ValueError("num_shards must be positive")
+        if tiered_hot_bytes is not None and getattr(model, "stacked", None) is not None:
+            raise ValueError(
+                "tiered_hot_bytes needs per-table embeddings: a stacked model's "
+                "fused gather bypasses the tier"
+            )
+        self.model = model
+        self.num_shards = num_shards
+        self.cluster = cluster or single_node(num_shards)
+        if self.cluster.total_gpus != num_shards:
+            raise ValueError(
+                f"cluster has {self.cluster.total_gpus} GPUs but {num_shards} shards "
+                "were requested (one shard per GPU)"
+            )
+        self.lr = lr
+        self.sample_fraction = sample_fraction
+        self.hbm_budget_bytes = hbm_budget_bytes
+        self.perf_model = perf_model
+        row_bytes = model.config.embedding_dim * model.config.dtype_bytes
+        self.replicas: list[ShardReplica] = [
+            ShardReplica(accelerator=HotlineAccelerator(row_bytes=row_bytes, seed=seed + k))
+            for k in range(num_shards)
+        ]
         # Replica 0 adopts the caller's instance; the rest start as exact
         # deep copies and stay bit-identical through identical updates.
         self.replicas[0].model = model
@@ -489,7 +270,6 @@ class ShardedHotlineTrainer(_ShardedTrainerBase):
             raise ValueError("lookahead_window must be >= 0")
         if per_shard_lookahead and lookahead_window <= 0:
             raise ValueError("per_shard_lookahead requires lookahead_window > 0")
-        self.fused = fused
         #: Optional BagPipe-style cached-embedding lookahead pipeline.
         self.lookahead: CachedEmbeddingPipeline | None = None
         #: Per-shard accounting pipelines (empty unless per_shard_lookahead).
@@ -507,7 +287,6 @@ class ShardedHotlineTrainer(_ShardedTrainerBase):
                 # does not exist.
                 num_replicas=num_shards if partition_embeddings else 1,
                 link=self._fill_link(),
-                pending_store=pending_store,
                 # With per-shard caches the fills are priced per shard
                 # slice below; the global pipeline keeps the deferral
                 # numerics but must not charge the same fill again.
@@ -522,7 +301,6 @@ class ShardedHotlineTrainer(_ShardedTrainerBase):
                         row_bytes=config.embedding_dim * config.dtype_bytes,
                         num_replicas=num_shards if partition_embeddings else 1,
                         link=self._fill_link(),
-                        pending_store=pending_store,
                     )
                     for _ in range(num_shards)
                 ]
@@ -548,30 +326,48 @@ class ShardedHotlineTrainer(_ShardedTrainerBase):
         self.last_remote_lookups: int = 0
         #: Merged sparse-gradient rows routed to owners in the last step.
         self.last_routed_rows: int = 0
-        if parallel_workers < 1:
-            raise ValueError("parallel_workers must be >= 1")
-        #: Thread-pool width for the per-replica forward/backward fan-out.
-        self.parallel_workers = parallel_workers
-        self._pool: ThreadPoolExecutor | None = None
-        self._pool_width = 0
-        #: Per-replica wall time of the most recent step (by replica index).
-        self.last_replica_times: tuple[float, ...] = ()
-        if dense_batching not in ("replica", "per-replica"):
-            raise ValueError(
-                "dense_batching must be 'replica' or 'per-replica', "
-                f"got {dense_batching!r}"
-            )
-        #: ``"replica"`` stacks the K sync-mode shards' dense passes into
-        #: one model-0 forward/backward over the *global* batch (replicas
-        #: hold bit-identical weights in sync mode, so K small GEMMs per
-        #: layer become one); falls back per-replica whenever the
-        #: preconditions don't hold (stale-k, thread pool, unfused).
-        self.dense_batching = dense_batching
-        #: Measured dense-section wall seconds of the most recent step,
-        #: summed over replicas.
+        #: Measured dense-section wall seconds of the most recent step.
         self.last_dense_time_s = 0.0
         #: Interaction/attention share of ``last_dense_time_s``.
         self.last_interaction_time_s = 0.0
+
+    # ------------------------------------------------------------------ #
+    # Learning phase (per shard)
+    # ------------------------------------------------------------------ #
+    def learning_phase(self, loader: MiniBatchLoader, seed: int = 0) -> list[EmbeddingPlacement]:
+        """Profile each shard's slice of the sampled batches into its EAL.
+
+        Every shard sees only its own contiguous slice of each sampled
+        mini-batch — the same data it will train on — so its placement
+        tracks the skew of *its* partition, exactly as a per-node EAL would.
+        """
+        sampled = loader.sample_batches(self.sample_fraction, seed=seed)
+        for batch in sampled:
+            shards = batch.shards(self.num_shards)
+            for shard_batch, replica in zip(shards, self.replicas, strict=True):
+                if shard_batch.size:
+                    replica.accelerator.learn_from_batch(shard_batch.sparse)
+        config = self.model.config
+        num_tables = config.num_sparse_features
+        for replica in self.replicas:
+            hot_sets = replica.accelerator.hot_sets(num_tables)
+            if replica.placement is None:
+                replica.placement = EmbeddingPlacement(
+                    hot_sets=hot_sets,
+                    rows_per_table=config.dataset.rows_per_table,
+                    embedding_dim=config.embedding_dim,
+                    dtype_bytes=config.dtype_bytes,
+                    hbm_budget_bytes=self.hbm_budget_bytes,
+                )
+            else:
+                replica.placement.update_hot_sets(hot_sets)
+        return [replica.placement for replica in self.replicas]
+
+    def recalibrate(self, loader: MiniBatchLoader, seed: int = 0) -> None:
+        """Re-enter the learning phase on every shard's EAL."""
+        for replica in self.replicas:
+            replica.accelerator.recalibrate()
+        self.learning_phase(loader, seed=seed)
 
     # ------------------------------------------------------------------ #
     # Dense-gradient plumbing
@@ -623,7 +419,8 @@ class ShardedHotlineTrainer(_ShardedTrainerBase):
         dropped here, so run B's first steps never apply run A's
         gradients.
         """
-        super().bind(loader)
+        if any(replica.placement is None for replica in self.replicas):
+            self.learning_phase(loader)
         self._bound_loader = loader
         self._epoch_step = 0
         self._pending_dense.clear()
@@ -643,8 +440,7 @@ class ShardedHotlineTrainer(_ShardedTrainerBase):
         previous run's tier traffic (the counter-lifetime contract the
         DMA regression suite pins for the lookahead path).  One tier is
         shared by every replica's tables: it models one device's HBM
-        front (replicated hot rows are pinned once), and its lock keeps
-        the thread-pooled replica step safe.
+        front (replicated hot rows are pinned once).
         """
         config = self.model.config
         self.tier = TieredEmbeddingStore(
@@ -769,212 +565,65 @@ class ShardedHotlineTrainer(_ShardedTrainerBase):
             return None
         return masks
 
-    def _replica_step(
-        self,
-        shard_id: int,
-        shard_batch: MiniBatch,
-        replica: ShardReplica,
-        global_batch_size: int,
-        mask: np.ndarray | None,
-    ) -> tuple[
-        list[float],
-        list[np.ndarray],
-        list[list[SparseGradient]],
-        int,
-        int,
-        float,
-        float,
-        float,
-    ]:
-        """One replica's forward/backward over its shard, thread-safely.
+    def _dense_pass(
+        self, batch: MiniBatch, parts: list[tuple[int, MicroBatches]]
+    ) -> tuple[list[float], list[np.ndarray], list[list[SparseGradient]]]:
+        """Every shard's µ-batches as ONE forward/backward on replica 0.
 
-        Touches only per-replica state (the replica's own model and
-        placement) plus read-only shared state, so K calls can run
-        concurrently on the thread pool.  Returns everything the caller
-        needs to assemble the globally-ordered partials:
-        ``(per-segment losses, per-segment flat dense partials, per-table
-        per-segment sparse partials, popular count, remote lookups, wall
-        seconds, dense-section wall seconds, interaction wall seconds)``.
+        ``parts`` holds ``(shard index, µ-batches)`` of each non-empty
+        shard, in shard order.  Their segments are offset into
+        global-batch coordinates and run through replica 0's
+        ``fused_loss_and_gradients`` over the whole mini-batch, so the
+        segment-packed dense path runs one GEMM per layer instead of K·S
+        small ones.  The ``after_segment`` hook snapshots each segment's
+        flat dense partial and zeroes the layers, so the partials come out
+        in the rank-major (shard, µ-batch) order the reducer consumes; the
+        segmented scatter accumulates each segment's lookups in the same
+        within-segment order a per-shard scatter would.
+
+        Returns:
+            Per-segment losses, per-segment flat dense partials, and
+            per-table lists of per-segment sparse partials.
         """
-        start = perf_counter()
-        remote = (
-            self.partition.remote_lookup_count(shard_batch.sparse, shard_id)
-            if self.partition is not None
-            else 0
-        )
-        micro = split_minibatch(
-            shard_batch,
-            replica.placement.index,
-            materialize=not self.fused,
-            mask=mask,
-        )
-        losses: list[float] = []
-        dense_partials: list[np.ndarray] = []
-        if self.fused:
-            # Fused µ-batch execution: one embedding gather + scatter per
-            # table (or per step, with a stacked store) for the replica's
-            # two µ-batches.  The after-segment hook snapshots each
-            # µ-batch's flat dense partial and zeroes the layers, so the
-            # partials come out in segment order — the caller concatenates
-            # them replica-major, the exact order the merged reference
-            # accumulates in.  Losses fold in segment order too.
-            def after_segment(_s, seg_loss, model=replica.model):
-                losses.append(seg_loss)
-                dense_partials.append(self._flat_dense_gradient(model))
-                model.zero_grad()
-
-            replica.model.zero_grad()
-            # Global-batch normalisation keeps the reduced K-replica
-            # update identical to the single-replica one (Eq. 5).
-            _losses, sparse_partials = replica.model.fused_loss_and_gradients(
-                shard_batch,
-                micro.segment_indices(),
-                normalizer=global_batch_size,
-                after_segment=after_segment,
-            )
-            sparse_partials = [list(grads) for grads in sparse_partials]
-        else:
-            sparse_partials = [[] for _ in range(shard_batch.num_tables)]
-            for micro_batch in micro.segments():
-                replica.model.zero_grad()
-                loss, sparse_grads = replica.model.loss_and_gradients(
-                    micro_batch, normalizer=global_batch_size
-                )
-                losses.append(loss)
-                dense_partials.append(self._flat_dense_gradient(replica.model))
-                for table, grad in enumerate(sparse_grads):
-                    sparse_partials[table].append(grad)
-        return (
-            losses,
-            dense_partials,
-            sparse_partials,
-            micro.popular_count,
-            remote,
-            perf_counter() - start,
-            replica.model.last_dense_time_s if self.fused else 0.0,
-            replica.model.last_interaction_time_s if self.fused else 0.0,
-        )
-
-    def _stacked_replica_step(self, work, batch: MiniBatch) -> list[tuple]:
-        """All K shards' dense passes as ONE model-0 pass over the batch.
-
-        In sync (stale-0) mode every replica holds bit-identical weights,
-        so instead of K per-shard ``fused_loss_and_gradients`` calls the
-        whole mini-batch runs through **replica 0's** model once, with the
-        K shards' µ-batch segments offset into global-batch coordinates
-        and concatenated in shard order.  With the segment-packed dense
-        path this turns K·S small GEMMs per layer into one (K·shard, d)
-        GEMM.  Everything observable is bit-identical to the per-replica
-        loop: per-(shard, segment) losses, flat dense partials (the
-        ``after_segment`` hook yields them in exactly the replica-major
-        order the reducer consumes), and per-segment sparse partials (the
-        segmented scatters accumulate each segment's lookups in the same
-        within-segment flat order as the per-shard scatters).
-        Classification still runs per shard against each replica's own
-        placement, so the µ-batch split matches the per-replica path.
-
-        Returns per-shard result tuples shaped exactly like
-        :meth:`_replica_step`'s, so the caller's replica-major assembly is
-        shared.  The single measured wall time is attributed to shards
-        proportionally to their row counts (one stacked pass has no
-        per-shard walls to measure).
-        """
-        start = perf_counter()
-        bounds = [
-            (k * batch.size) // self.num_shards for k in range(self.num_shards + 1)
+        bounds = [(k * batch.size) // self.num_shards for k in range(self.num_shards + 1)]
+        segments = [
+            segment + bounds[shard]
+            for shard, micro in parts
+            for segment in micro.segment_indices()
         ]
         model = self.replicas[0].model
-        all_segments: list[np.ndarray] = []
-        seg_counts: list[int] = []
-        populars: list[int] = []
-        remotes: list[int] = []
-        for shard_id, shard_batch, replica, _gbs, mask in work:
-            remotes.append(
-                self.partition.remote_lookup_count(shard_batch.sparse, shard_id)
-                if self.partition is not None
-                else 0
-            )
-            micro = split_minibatch(
-                shard_batch,
-                replica.placement.index,
-                materialize=False,
-                mask=mask,
-            )
-            segments = micro.segment_indices()
-            all_segments.extend(seg + bounds[shard_id] for seg in segments)
-            seg_counts.append(len(segments))
-            populars.append(micro.popular_count)
-        losses_all: list[float] = []
-        dense_all: list[np.ndarray] = []
+        dense_partials: list[np.ndarray] = []
 
-        def after_segment(_s, seg_loss):
-            losses_all.append(seg_loss)
-            dense_all.append(self._flat_dense_gradient(model))
+        def after_segment(_s, _loss):
+            dense_partials.append(self._flat_dense_gradient(model))
             model.zero_grad()
 
         model.zero_grad()
-        _losses, sparse_all = model.fused_loss_and_gradients(
-            batch,
-            all_segments,
-            normalizer=batch.size,
-            after_segment=after_segment,
+        # Global-batch normalisation keeps the reduced K-replica update
+        # identical to the single-replica one (Eq. 5).
+        losses, sparse_partials = model.fused_loss_and_gradients(
+            batch, segments, normalizer=batch.size, after_segment=after_segment
         )
-        wall = perf_counter() - start
-        dense_s = model.last_dense_time_s
-        interaction_s = model.last_interaction_time_s
-        results = []
-        pos = 0
-        for i, (_sid, shard_batch, _replica, _gbs, _mask) in enumerate(work):
-            count = seg_counts[i]
-            share = shard_batch.size / batch.size if batch.size else 0.0
-            results.append(
-                (
-                    losses_all[pos : pos + count],
-                    dense_all[pos : pos + count],
-                    [list(grads[pos : pos + count]) for grads in sparse_all],
-                    populars[i],
-                    remotes[i],
-                    wall * share,
-                    dense_s * share,
-                    interaction_s * share,
-                )
-            )
-            pos += count
-        return results
-
-    def _replica_pool(self, width: int) -> ThreadPoolExecutor:
-        """The shared replica-stepping pool, (re)built at ``width`` workers."""
-        if self._pool is not None and self._pool_width != width:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=width, thread_name_prefix="replica-step"
-            )
-            self._pool_width = width
-        return self._pool
+        self.last_dense_time_s = model.last_dense_time_s
+        self.last_interaction_time_s = model.last_interaction_time_s
+        return losses, dense_partials, sparse_partials
 
     def train_step(self, batch: MiniBatch) -> tuple[float, float]:
         """One data-parallel step across the K replicas of ``batch``.
 
-        Each replica classifies its own shard against its own placement and
-        contributes one flat dense-gradient partial per µ-batch; the bucket
-        reducer chain-sums the partials in rank-major order (bit-identical
-        to the merged reference's in-layer accumulation), the sparse
-        exchange merges per-table partials in the same order, and every
-        replica applies the identical update — so replicas never drift.
-        With ``parallel_workers > 1`` the K forward/backward passes run
-        concurrently on the shared thread pool; each replica's partials are
-        collected into its own slot and assembled in replica-index order
-        afterwards, so the reducer/exchange inputs — and therefore the
-        numerics — are identical to the sequential loop for any worker
-        count.  In ``stale-k`` mode (k > 0) the reduced dense gradient is
-        applied ``k`` steps late through a k-deep deque (the first k steps
-        apply none), modelling a pipeline of in-flight reduces at the cost
-        of staleness; with a lookahead pipeline attached, merged sparse
-        gradients defer under the same bound (flush on window exit or at
-        age k).  Staleness is uniform across replicas either way, so they
-        still never drift.
+        Each replica classifies its own shard against its own placement;
+        :meth:`_dense_pass` then yields one flat dense-gradient partial
+        per (shard, µ-batch).  The bucket reducer chain-sums the partials
+        in rank-major order (bit-identical to the merged reference's
+        in-layer accumulation), the sparse exchange merges per-table
+        partials in the same order, and every replica applies the
+        identical update — so replicas never drift.  In ``stale-k`` mode
+        (k > 0) the reduced dense gradient is applied ``k`` steps late
+        through a k-deep deque (the first k steps apply none), modelling a
+        pipeline of in-flight reduces at the cost of staleness; with a
+        lookahead pipeline attached, merged sparse gradients defer under
+        the same bound (flush on window exit or at age k).  Staleness is
+        uniform across replicas either way, so they still never drift.
 
         Returns:
             ``(loss, popular_fraction)`` summed / averaged over the batch.
@@ -984,69 +633,29 @@ class ShardedHotlineTrainer(_ShardedTrainerBase):
         if self.lookahead is not None:
             self._advance_lookahead(batch)
         precomputed = self._take_masks(batch)
-        work: list[tuple[int, MiniBatch, ShardReplica, int, np.ndarray | None]] = []
+        parts: list[tuple[int, MicroBatches]] = []
+        popular_size = 0
+        remote_lookups = 0
         for shard_id, (shard_batch, replica) in enumerate(
             zip(batch.shards(self.num_shards), self.replicas, strict=True)
         ):
             if shard_batch.size == 0:
                 continue
-            mask = precomputed[shard_id] if precomputed is not None else None
-            work.append((shard_id, shard_batch, replica, batch.size, mask))
-        if (
-            self.dense_batching == "replica"
-            and self.fused
-            and self.reducer.staleness == 0
-            and self.parallel_workers == 1
-            and len(work) > 1
-        ):
-            # Sync-mode replicas are bit-identical, so the K shards' dense
-            # passes stack into one global-batch pass on replica 0.
-            results = self._stacked_replica_step(work, batch)
-        elif self.parallel_workers > 1 and len(work) > 1:
-            pool = self._replica_pool(min(self.parallel_workers, self.num_shards))
-            futures = [pool.submit(self._replica_step, *args) for args in work]
-            results = [future.result() for future in futures]
-        else:
-            results = [self._replica_step(*args) for args in work]
-
-        # Deterministic replica-major assembly: results are walked in
-        # replica-index order regardless of thread completion order, and
-        # each replica's per-segment losses fold sequentially — the exact
-        # addition sequence of the sequential loop.
-        total_loss = 0.0
-        popular_size = 0
-        remote_lookups = 0
-        dense_partials: list[np.ndarray] = []
-        partial_sparse: list[list[SparseGradient]] = [
-            [] for _ in range(self.model.config.num_sparse_features)
-        ]
-        replica_times = [0.0] * self.num_shards
-        dense_time = 0.0
-        interaction_time = 0.0
-        for (shard_id, _, _, _, _), (
-            losses,
-            replica_dense,
-            replica_sparse,
-            popular,
-            remote,
-            wall_s,
-            dense_s,
-            interaction_s,
-        ) in zip(work, results, strict=True):
-            for loss in losses:
-                total_loss += loss
-            dense_partials.extend(replica_dense)
-            for table, grads in enumerate(replica_sparse):
-                partial_sparse[table].extend(grads)
-            popular_size += popular
-            remote_lookups += remote
-            replica_times[shard_id] = wall_s
-            dense_time += dense_s
-            interaction_time += interaction_s
-        self.last_replica_times = tuple(replica_times)
-        self.last_dense_time_s = dense_time
-        self.last_interaction_time_s = interaction_time
+            if self.partition is not None:
+                remote_lookups += self.partition.remote_lookup_count(
+                    shard_batch.sparse, shard_id
+                )
+            micro = split_minibatch(
+                shard_batch,
+                replica.placement.index,
+                materialize=False,
+                mask=precomputed[shard_id] if precomputed is not None else None,
+            )
+            popular_size += micro.popular_count
+            parts.append((shard_id, micro))
         self.last_remote_lookups = remote_lookups
+        losses, dense_partials, partial_sparse = self._dense_pass(batch, parts)
+        total_loss = sum(losses, 0.0)
 
         reduced = self.reducer.reduce(dense_partials) if dense_partials else None
         merged = self.exchange.exchange(partial_sparse)
@@ -1102,11 +711,6 @@ class ShardedHotlineTrainer(_ShardedTrainerBase):
         numbers of gradients.  Sync-mode runs have nothing in flight and
         return ``None``.
         """
-        # The replica-stepping pool is idle between runs; release its
-        # threads here (it is rebuilt lazily if the trainer steps again).
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
         dense_updates = [flat for flat in self._pending_dense if flat is not None]
         self._pending_dense.clear()
         sparse_updates = None
@@ -1166,6 +770,23 @@ class ShardedHotlineTrainer(_ShardedTrainerBase):
     # ------------------------------------------------------------------ #
     # Simulated timing
     # ------------------------------------------------------------------ #
+    def shard_compute_time(self, batch_size: int) -> float:
+        """Simulated compute time of one data-parallel step, sans collective.
+
+        The perf model's cost layer already apportions a *global* batch
+        across the cluster's GPUs (one shard each here), so it receives the
+        full mini-batch size; dividing by ``num_shards`` first would charge
+        each GPU for ``batch/K²`` samples.  The collective term is carved
+        out because it is accounted separately (``dense_sync_time`` /
+        the reducer's bucket schedule).
+        """
+        if self.perf_model is None:
+            return 0.0
+        # Same arithmetic as StepExecutor.timed_outcome's split
+        # (step - min(step, collective) == max(0, step - collective)).
+        step_time = self.perf_model.step_time(batch_size)
+        return max(0.0, step_time - self.perf_model.collective_time())
+
     def _step_bucket_times(self) -> list[float]:
         """Per-bucket wire times of one step's dense all-reduce.
 
@@ -1277,7 +898,6 @@ class ShardedHotlineTrainer(_ShardedTrainerBase):
             cache_fill_rows=stats.fill_rows if stats is not None else 0,
             stale_rows=stats.stale_rows if stats is not None else 0,
             prefetch_time_s=prefetch,
-            replica_times_s=self.last_replica_times,
             dense_time_s=self.last_dense_time_s,
             interaction_time_s=self.last_interaction_time_s,
             pending_bytes=(
@@ -1286,4 +906,22 @@ class ShardedHotlineTrainer(_ShardedTrainerBase):
             tier_hits=tier_hits,
             tier_misses=tier_misses,
             tier_evictions=tier_evictions,
+        )
+
+    def train(
+        self,
+        loader: MiniBatchLoader,
+        *,
+        epochs: int = 1,
+        eval_batch: MiniBatch | None = None,
+        eval_every: int = 0,
+        recalibrations_per_epoch: int = 0,
+    ) -> TrainingResult:
+        """Train for ``epochs`` epochs with the sharded Hotline schedule."""
+        return TrainingEngine(self).train(
+            loader,
+            epochs=epochs,
+            eval_batch=eval_batch,
+            eval_every=eval_every,
+            recalibrations_per_epoch=recalibrations_per_epoch,
         )

@@ -77,11 +77,6 @@ class TrainingResult:
         prefetch_time_s: Total priced lookahead fill/write-back traffic,
             hidden or not (the exposed tail is already folded into
             ``communication_time_s``).
-        replica_time_s: Measured (host) wall-clock seconds each replica
-            spent in its forward/backward work, summed over steps:
-            ``replica_time_s[k]`` is replica ``k``'s total.  Empty for
-            single-replica executors; surfaces the load balance of the
-            thread-pooled multi-replica step.
         dense_time_s: Measured (host) wall-clock seconds of the fused
             dense sections across the run (all replicas) — the measured,
             not inferred, MLP/interaction share of the training walltime.
@@ -115,7 +110,6 @@ class TrainingResult:
     cache_fill_rows: int = 0
     stale_rows: int = 0
     prefetch_time_s: float = 0.0
-    replica_time_s: list[float] = field(default_factory=list)
     dense_time_s: float = 0.0
     interaction_time_s: float = 0.0
     pending_peak_bytes: int = 0
@@ -181,10 +175,6 @@ class StepOutcome:
         stale_rows: Deferred row updates flushed by the staleness bound.
         prefetch_time_s: Priced cache fill/write-back traffic of the step,
             hidden or not.
-        replica_times_s: Measured (host) wall-clock seconds each replica
-            spent in this step's forward/backward work, by replica index
-            (``0.0`` for a replica whose shard was empty).  Empty for
-            single-replica executors.
         dense_time_s: Measured (host) wall-clock seconds the step's fused
             dense section (MLPs + interaction/attention + loss) took,
             summed over replicas — the directly-measured MLP share of the
@@ -214,7 +204,6 @@ class StepOutcome:
     cache_fill_rows: int = 0
     stale_rows: int = 0
     prefetch_time_s: float = 0.0
-    replica_times_s: tuple[float, ...] = ()
     dense_time_s: float = 0.0
     interaction_time_s: float = 0.0
     pending_bytes: int = 0
@@ -325,30 +314,11 @@ class TrainingEngine:
             override the loader either way; the trainers' ``train()``
             methods use the default, so wrap the trainer in your own
             ``TrainingEngine`` to control the knob.
-        parallel_workers: Convenience override of the executor's
-            ``parallel_workers`` knob (thread-pooled replica stepping in
-            :class:`~repro.core.distributed.ShardedHotlineTrainer`).
-            ``None`` leaves the executor's own setting; setting it on an
-            executor without the knob raises.
     """
 
-    def __init__(
-        self,
-        executor: StepExecutor,
-        *,
-        prefetch: int | None = None,
-        parallel_workers: int | None = None,
-    ):
+    def __init__(self, executor: StepExecutor, *, prefetch: int | None = None):
         self.executor = executor
         self.prefetch = prefetch
-        if parallel_workers is not None:
-            if not hasattr(executor, "parallel_workers"):
-                raise ValueError(
-                    f"{type(executor).__name__} has no parallel_workers knob"
-                )
-            if parallel_workers < 1:
-                raise ValueError("parallel_workers must be >= 1")
-            executor.parallel_workers = parallel_workers
 
     def _epoch_batches(self, loader: MiniBatchLoader):
         """One epoch's batch iterator, prefetched when the loader supports it.
@@ -388,7 +358,13 @@ class TrainingEngine:
         eval_every: int = 0,
         recalibrations_per_epoch: int = 0,
     ) -> TrainingResult:
-        """Run the full training loop and record a :class:`TrainingResult`."""
+        """Run the full training loop and record a :class:`TrainingResult`.
+
+        Raises:
+            FloatingPointError: A step's loss was not finite (raised by the
+                model's loss epilogue before any update), re-raised naming
+                the step.
+        """
         self.executor.bind(loader)
         result = TrainingResult()
         iteration = 0
@@ -397,7 +373,10 @@ class TrainingEngine:
             for step_in_epoch, batch in enumerate(self._epoch_batches(loader)):
                 if step_in_epoch in recal_points:
                     self.executor.recalibrate(loader, seed=iteration)
-                outcome = self.executor.run_step(batch)
+                try:
+                    outcome = self.executor.run_step(batch)
+                except FloatingPointError as error:
+                    raise FloatingPointError(f"step {iteration}: {error}") from error
                 result.losses.append(outcome.loss)
                 if outcome.popular_fraction is not None:
                     result.popular_fractions.append(outcome.popular_fraction)
@@ -419,14 +398,6 @@ class TrainingEngine:
                 result.tier_hits += outcome.tier_hits
                 result.tier_misses += outcome.tier_misses
                 result.tier_evictions += outcome.tier_evictions
-                if outcome.replica_times_s:
-                    if len(result.replica_time_s) < len(outcome.replica_times_s):
-                        result.replica_time_s.extend(
-                            [0.0]
-                            * (len(outcome.replica_times_s) - len(result.replica_time_s))
-                        )
-                    for i, replica_time in enumerate(outcome.replica_times_s):
-                        result.replica_time_s[i] += replica_time
                 if outcome.bucket_times_s:
                     if len(result.bucket_comm_s) < len(outcome.bucket_times_s):
                         result.bucket_comm_s.extend(

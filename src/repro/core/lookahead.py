@@ -48,9 +48,9 @@ functional trainers:
   the age/eviction flush is boolean-mask arithmetic over birth buckets;
   ``take`` is one gather + zero-fill — so the lookahead machinery itself
   is constant-overhead (no O(nnz) interpreter loop).  The original
-  dict-of-rows implementation survives as :class:`ReferencePendingStore`
-  (``pending_store="reference"``), the ground truth of the bit-parity
-  suite and the speedup benchmark.
+  dict-of-rows implementation is
+  :class:`repro.reference.ReferencePendingStore`, the ground truth of the
+  bit-parity suite and the speedup benchmark.
 
 **The window-bound invariant.**  Only rows inside the ``W``-batch
 lookahead window can ever be pending: a row defers while it is cached and
@@ -70,8 +70,8 @@ paths release the memory they no longer need.
 
 **Invariants** (asserted by the parity/regression suites):
 
-1. Flushed gradients are bit-identical between the two stores: rows flush
-   in sorted order and each row's value accumulates in arrival order.
+1. Flushed gradients are bit-identical to the dict reference store: rows
+   flush in sorted order and each row's value accumulates in arrival order.
 2. A row's birth step is set exactly when it first defers and cleared
    exactly when it flushes; row array, slot array, value slab, and birth
    slab always move together (``reset``/``clear`` included), so no state
@@ -167,111 +167,6 @@ def _empty_gradient(layout: tuple[int, np.dtype]) -> SparseGradient:
     return SparseGradient(np.empty(0, dtype=np.int64), np.empty((0, dim), dtype=dtype))
 
 
-class ReferencePendingStore:
-    """Dict-of-rows deferred write-back store — the bit-parity reference.
-
-    The original (pre-flat-store) implementation: one ``dict[int,
-    np.ndarray]`` of accumulated gradient rows plus one ``dict[int, int]``
-    of birth steps per table.  Every ``defer``/``take`` walks the step's
-    rows in the Python interpreter — O(nnz) dict churn per training step —
-    which is exactly the overhead :class:`FlatPendingStore` removes.  It is
-    retained as the ground truth the parity suite and the pending-store
-    benchmark compare against (the same role the loop-based
-    ``reference_forward``/``reference_backward`` play for the embedding hot
-    path); select it with ``CachedEmbeddingPipeline(pending_store=
-    "reference")``.
-    """
-
-    def __init__(self, rows_per_table: tuple[int, ...]):
-        self.rows_per_table = tuple(int(rows) for rows in rows_per_table)
-        self._pending: list[dict[int, np.ndarray]] = [{} for _ in self.rows_per_table]
-        self._births: list[dict[int, int]] = [{} for _ in self.rows_per_table]
-        self._layout = _UNSEEN_LAYOUT
-
-    @property
-    def num_tables(self) -> int:
-        """Number of tables the store covers."""
-        return len(self.rows_per_table)
-
-    @property
-    def total_pending(self) -> int:
-        """Deferred (not yet written back) rows across tables."""
-        return sum(len(pending) for pending in self._pending)
-
-    def pending_count(self, table: int) -> int:
-        """Deferred rows of one table."""
-        return len(self._pending[table])
-
-    @property
-    def pending_bytes(self) -> int:
-        """Bytes held by the dict store (value rows + per-row id/birth ints).
-
-        API symmetry with :attr:`FlatPendingStore.pending_bytes`; the dict
-        store is inherently window-bounded (it only ever holds deferred
-        rows), it just pays the interpreter for it.
-        """
-        total = 0
-        for pending in self._pending:
-            for value in pending.values():
-                total += value.nbytes + 16
-        return total
-
-    def defer(self, table: int, grad: SparseGradient, step: int) -> None:
-        """Accumulate one merged gradient; new rows are born at ``step``."""
-        self._layout = (grad.values.shape[1], grad.values.dtype)
-        pending = self._pending[table]
-        births = self._births[table]
-        for row, value in zip(grad.indices.tolist(), grad.values, strict=True):
-            if row in pending:
-                pending[row] = pending[row] + value
-            else:
-                pending[row] = value.copy()
-                births[row] = step
-
-    def pending_mask(self, table: int, rows: np.ndarray) -> np.ndarray:
-        """Boolean mask over ``rows``: True where the row is deferred."""
-        pending = self._pending[table]
-        return np.fromiter(
-            (int(row) in pending for row in rows), dtype=bool, count=rows.size
-        )
-
-    def aged_rows(self, table: int, step: int, staleness: int) -> np.ndarray:
-        """Sorted rows whose oldest contribution is ``staleness`` steps old."""
-        births = self._births[table]
-        aged = sorted(row for row, birth in births.items() if step - birth >= staleness)
-        return np.asarray(aged, dtype=np.int64)
-
-    def birth_steps(self, table: int) -> dict[int, int]:
-        """``{row: birth step}`` of one table's deferred rows (tests)."""
-        return dict(self._births[table])
-
-    def take(self, table: int, rows: np.ndarray) -> SparseGradient:
-        """Remove the deferred subset of ``rows`` as one sparse gradient.
-
-        ``rows`` must be sorted; rows with nothing pending are skipped, so
-        the result's indices are the sorted deferred subset.
-        """
-        pending = self._pending[table]
-        births = self._births[table]
-        taken = [int(row) for row in rows if int(row) in pending]
-        if not taken:
-            return _empty_gradient(self._layout)
-        values = np.stack([pending.pop(row) for row in taken], axis=0)
-        for row in taken:
-            births.pop(row, None)
-        return SparseGradient(np.asarray(taken, dtype=np.int64), values)
-
-    def take_all(self, table: int) -> SparseGradient:
-        """Remove and return everything deferred for one table."""
-        return self.take(table, np.asarray(sorted(self._pending[table]), dtype=np.int64))
-
-    def clear(self) -> None:
-        """Drop all deferred gradients and their birth steps."""
-        for pending, births in zip(self._pending, self._births, strict=True):
-            pending.clear()
-            births.clear()
-
-
 class FlatPendingStore:
     """Window-bounded flat-array deferred write-back store.
 
@@ -301,9 +196,9 @@ class FlatPendingStore:
     duplicates) are routed through a duplicate-safe ``np.add.at`` scatter
     whose element order matches the dict reference's per-occurrence
     accumulation, so results stay bit-identical to
-    :class:`ReferencePendingStore` either way (rows flush in sorted order;
-    per-row values accumulate in arrival order), which the parity suite
-    asserts.  ``clear()`` and an emptying ``take_all()`` **free** the
+    :class:`repro.reference.ReferencePendingStore` either way (rows flush
+    in sorted order; per-row values accumulate in arrival order), which the
+    parity suite asserts.  ``clear()`` and an emptying ``take_all()`` **free** the
     slabs (reset / epoch-carry paths release memory, not just zero it),
     and :attr:`pending_bytes` / :attr:`peak_pending_bytes` expose the
     footprint the regression suite and benchmark artifact pin.
@@ -556,17 +451,6 @@ class FlatPendingStore:
         self._peak_bytes = 0
 
 
-def make_pending_store(
-    kind: str, rows_per_table: tuple[int, ...]
-) -> FlatPendingStore | ReferencePendingStore:
-    """Build a deferred write-back store by name (``"flat"``/``"reference"``)."""
-    if kind == "flat":
-        return FlatPendingStore(rows_per_table)
-    if kind == "reference":
-        return ReferencePendingStore(rows_per_table)
-    raise ValueError(f"unknown pending store {kind!r} (expected 'flat' or 'reference')")
-
-
 def epoch_row_stream(loader) -> Iterator[list[np.ndarray]]:
     """Per-batch, per-table unique-row arrays of the loader's current epoch.
 
@@ -763,10 +647,6 @@ class CachedEmbeddingPipeline:
             traffic at zero (accounting-only use).
         dma: DMA engine whose counters track fill/write-back bytes; a
             private engine is created when omitted.
-        pending_store: Deferred write-back store implementation — ``"flat"``
-            (default) for the vectorised :class:`FlatPendingStore`,
-            ``"reference"`` for the dict-based
-            :class:`ReferencePendingStore` parity ground truth.
         price_fills: Whether :meth:`observe` prices fill traffic.  Leave
             on for the pipeline that owns the deferral numerics; turn off
             when per-shard accounting pipelines price the fills instead
@@ -785,7 +665,6 @@ class CachedEmbeddingPipeline:
         num_replicas: int = 1,
         link: Link | None = None,
         dma: DMAEngine | None = None,
-        pending_store: str = "flat",
         price_fills: bool = True,
     ):
         if window < 0:
@@ -811,8 +690,8 @@ class CachedEmbeddingPipeline:
         self._refcounts = WindowRefcounts(self.rows_per_table)
         self._entries: deque[_WindowEntry] = deque()
         self._stream: Iterator[list[np.ndarray]] | None = None
-        #: Deferred write-back store (flat arrays by default).
-        self.pending = make_pending_store(pending_store, self.rows_per_table)
+        #: Deferred write-back store.
+        self.pending = FlatPendingStore(self.rows_per_table)
         self._step = 0
         #: Epoch-carry write-back charge folded into the next step's stats.
         self._carry_rows = 0
@@ -838,12 +717,12 @@ class CachedEmbeddingPipeline:
     @property
     def pending_bytes(self) -> int:
         """Bytes currently allocated by the deferred write-back store."""
-        return int(getattr(self.pending, "pending_bytes", 0))
+        return self.pending.pending_bytes
 
     @property
     def peak_pending_bytes(self) -> int:
-        """High-water mark of the store's allocation (0 if untracked)."""
-        return int(getattr(self.pending, "peak_pending_bytes", 0))
+        """High-water mark of the store's allocation."""
+        return self.pending.peak_pending_bytes
 
     @property
     def refcount_bytes(self) -> int:

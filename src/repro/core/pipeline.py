@@ -19,21 +19,21 @@ single-replica *step executors*:
   verified by the test-suite).  Recalibration points re-enter the learning
   phase and delta-update the placement's hot-set bitmaps in place.
 
-**Fused µ-batch execution (default).**  Since PR 5 the acceleration phase
-trains the two µ-batches through one embedding gather and one scatter per
-table per step: the forward pools the mini-batch's *original contiguous*
-index block once (per-µ-batch views of the pooled output feed the two MLP
-passes), and the backward produces both µ-batches' sparse gradients with a
-single :func:`~repro.nn.embedding.segmented_scatter`.  The fusion
-invariants are (1) the µ-batch index arrays are ascending and partition
-the batch, so per-row gradient contributions accumulate in exactly the
-per-µ-batch order of the sequential two-pass schedule, (2) the MLP and
-interaction passes still run once per µ-batch, in order, so dense
-gradients accumulate identically, and (3) the µ-batch copies themselves
-are built lazily (the fused path trains through the batch + mask).
-Together these make the fused update **bit-identical** to ``fused=False``
-— the retained sequential path the parity suite compares against — while
-halving the sparse path's kernel launches.
+**Fused µ-batch execution.**  The acceleration phase trains the two
+µ-batches through one embedding gather and one scatter per table per
+step: the forward pools the mini-batch's *original contiguous* index block
+once (per-µ-batch views of the pooled output feed the two MLP passes), and
+the backward produces both µ-batches' sparse gradients with a single
+:func:`~repro.nn.embedding.segmented_scatter`.  The fusion invariants are
+(1) the µ-batch index arrays are ascending and partition the batch, so
+per-row gradient contributions accumulate in exactly the per-µ-batch order
+of a sequential two-pass schedule, (2) the MLP and interaction passes
+still run once per µ-batch, in order, so dense gradients accumulate
+identically, and (3) the µ-batch copies themselves are never built (the
+step trains through the batch + mask).  Together these make the fused
+update **bit-identical** to the sequential two-pass step
+(:class:`repro.reference.SequentialHotlineTrainer`, the oracle the parity
+suite compares against) while halving the sparse path's kernel launches.
 
 The multi-replica counterpart,
 :class:`~repro.core.distributed.ShardedHotlineTrainer`, lives in
@@ -63,7 +63,7 @@ from repro.core.engine import (
 from repro.core.placement import EmbeddingPlacement
 from repro.data.batch import MiniBatch
 from repro.data.loader import MiniBatchLoader
-from repro.nn.embedding import SparseGradient, merge_sparse_gradients
+from repro.nn.embedding import merge_sparse_gradients
 
 __all__ = [
     "ReferenceTrainer",
@@ -112,7 +112,6 @@ class HotlineTrainer(StepExecutor):
         sample_fraction: float = 0.05,
         hbm_budget_bytes: float = 512 * 1024 * 1024,
         perf_model: ExecutionModel | None = None,
-        fused: bool = True,
     ):
         self.model = model
         self.accelerator = accelerator or HotlineAccelerator(
@@ -122,10 +121,6 @@ class HotlineTrainer(StepExecutor):
         self.sample_fraction = sample_fraction
         self.hbm_budget_bytes = hbm_budget_bytes
         self.perf_model = perf_model
-        #: Fused µ-batch execution: one embedding gather + one scatter per
-        #: table per step (bit-identical to the sequential two-pass path,
-        #: which ``fused=False`` keeps selectable for the parity suite).
-        self.fused = fused
         self.placement: EmbeddingPlacement | None = None
 
     # ------------------------------------------------------------------ #
@@ -168,53 +163,30 @@ class HotlineTrainer(StepExecutor):
 
         The mini-batch is fragmented into its µ-batches; both are trained
         with gradient accumulation and a single parameter update, which
-        keeps the update identical to the baseline's (Eq. 5).  With
-        ``fused=True`` (the default) the µ-batches share one embedding
-        gather and one scatter per table
-        (:meth:`~repro.models.dlrm.DLRM.fused_loss_and_gradients`), which
-        is bit-identical to the sequential two-pass loop kept under
-        ``fused=False``.
+        keeps the update identical to the baseline's (Eq. 5).  The
+        µ-batches share one embedding gather and one scatter per table
+        (:meth:`~repro.models.dlrm.DLRM.fused_loss_and_gradients`).
         """
         if self.placement is None:
             raise RuntimeError("learning_phase must run before training")
         # The placement's HotSetIndex was built once when the learning phase
         # (or a recalibration) ran, so each step's classification is one
-        # fancy-index per table rather than an np.isin set scan.
-        # The fused path trains through the original batch + mask, so the
-        # µ-batch copies are built lazily (only if a caller reads them).
-        # A mask pre-classified on the loader thread (prepare_batch) is
-        # used as-is while its placement fingerprint still matches.
+        # fancy-index per table rather than an np.isin set scan.  A mask
+        # pre-classified on the loader thread (prepare_batch) is used as-is
+        # while its placement fingerprint still matches.
         micro = split_minibatch(
-            batch,
-            self.placement.index,
-            materialize=not self.fused,
-            mask=self._take_mask(batch),
+            batch, self.placement.index, materialize=False, mask=self._take_mask(batch)
         )
         self.model.zero_grad()
-        total_loss = 0.0
-        if self.fused and batch.size:
-            # Normalising by the *full* mini-batch size keeps the accumulated
-            # update identical to the baseline's single-step update (Eq. 5).
-            losses, table_grads = self.model.fused_loss_and_gradients(
-                batch, micro.segment_indices(), normalizer=batch.size
-            )
-            total_loss = sum(losses)
-            merged = [merge_sparse_gradients(grads) for grads in table_grads]
-        else:
-            partial_sparse: list[list[SparseGradient]] = [
-                [] for _ in range(self.model.config.num_sparse_features)
-            ]
-            for micro_batch in micro.segments():
-                loss, sparse_grads = self.model.loss_and_gradients(
-                    micro_batch, normalizer=batch.size
-                )
-                total_loss += loss
-                for table, grad in enumerate(sparse_grads):
-                    partial_sparse[table].append(grad)
-            merged = [merge_sparse_gradients(grads) for grads in partial_sparse]
+        # Normalising by the *full* mini-batch size keeps the accumulated
+        # update identical to the baseline's single-step update (Eq. 5).
+        losses, table_grads = self.model.fused_loss_and_gradients(
+            batch, micro.segment_indices(), normalizer=batch.size
+        )
+        merged = [merge_sparse_gradients(grads) for grads in table_grads]
         self.model.apply_dense_update(self.lr)
         self.model.apply_sparse_updates(merged, self.lr)
-        return total_loss, micro
+        return sum(losses, 0.0), micro
 
     # ------------------------------------------------------------------ #
     # StepExecutor interface
@@ -260,12 +232,9 @@ class HotlineTrainer(StepExecutor):
         outcome = self.timed_outcome(
             self.perf_model, batch.size, loss, popular_fraction=micro.popular_fraction
         )
-        if self.fused:
-            # Measured (not inferred) MLP/interaction share of the step.
-            outcome.dense_time_s = getattr(self.model, "last_dense_time_s", 0.0)
-            outcome.interaction_time_s = getattr(
-                self.model, "last_interaction_time_s", 0.0
-            )
+        # Measured (not inferred) MLP/interaction share of the step.
+        outcome.dense_time_s = self.model.last_dense_time_s
+        outcome.interaction_time_s = self.model.last_interaction_time_s
         return outcome
 
     def train(

@@ -31,6 +31,8 @@ class MiniBatch:
             raise ValueError("labels must be 1-D (batch,)")
         if not (self.dense.shape[0] == self.sparse.shape[0] == self.labels.shape[0]):
             raise ValueError("dense, sparse, and labels must agree on batch size")
+        if self.sparse.size and self.sparse.min() < 0:
+            raise ValueError("sparse ids must be non-negative")
 
     @property
     def size(self) -> int:

@@ -24,7 +24,7 @@ from repro.baselines import (
     XDLParameterServer,
 )
 from repro.core import HotlineScheduler
-from repro.core.distributed import MergedGradientShardedTrainer, ShardedHotlineTrainer
+from repro.core.distributed import ShardedHotlineTrainer
 from repro.core.reducer import GradientBucketReducer
 from repro.core.schedule import CommOp, StepSchedule, allreduce_ops, pipeline_makespan
 from repro.data import MiniBatchLoader, generate_click_log
@@ -234,15 +234,14 @@ def _fig30_functional() -> dict:
     """Multi-node scaling from a *functional* sharded run (fig30 companion).
 
     Unlike ``fig30`` (pure timing model), this trains a real (scaled-down)
-    DLRM with the merged-gradient K-shard trainer
-    (:class:`~repro.core.distributed.MergedGradientShardedTrainer` — one
-    shared numeric replica, the cheapest path to the bit-identical result)
-    at 4 shards per node and reports simulated per-shard compute plus the
-    hierarchical all-reduce term from :mod:`repro.hwsim.collectives`.  The
+    DLRM on :class:`~repro.core.distributed.ShardedHotlineTrainer` in sync
+    mode at 4 shards per node, with the dense all-reduce in one bucket,
+    and reports simulated per-shard compute plus the hierarchical
+    all-reduce term from :mod:`repro.hwsim.collectives`.  The
     recorded losses are numerically identical across node counts (Eq. 5
     across shards), so the scaling curve is backed by an actual training
-    result rather than a simulation alone.  ``fig30r`` is the true
-    multi-replica counterpart.
+    result rather than a simulation alone.  ``fig30r`` sweeps the
+    reducer modes over bucketed all-reduces.
     """
     config = _exact_scaling_config()
     log = generate_click_log(config.dataset, 1024, seed=23)
@@ -251,13 +250,15 @@ def _fig30_functional() -> dict:
     for nodes in (1, 2, 4):
         shards = 4 * nodes
         cluster = single_node(4) if nodes == 1 else multi_node(nodes, 4)
-        trainer = MergedGradientShardedTrainer(
-            DLRM(config, seed=5),
+        model = DLRM(config, seed=5)
+        trainer = ShardedHotlineTrainer(
+            model,
             shards,
             cluster=cluster,
             lr=0.1,
             sample_fraction=0.25,
             perf_model=HotlineScheduler(TrainingCostModel(config, cluster=cluster)),
+            bucket_bytes=max(4, model.num_dense_parameters * 4),
         )
         run = trainer.train(loader, epochs=1)
         result[f"{nodes} node(s)"] = {
@@ -274,11 +275,11 @@ def _fig30_functional() -> dict:
 def _fig30_replicated() -> dict:
     """Staleness/overlap sweep over truly independent replicas (fig30r).
 
-    Where ``fig30f`` trained one shared numeric replica, this sweep runs
-    :class:`~repro.core.distributed.ShardedHotlineTrainer` with K genuinely
-    separate model replicas, row-partitioned embedding tables, and a small
-    bucket size (64 KiB) so the dense all-reduce spans several buckets.  For
-    every node count it reports the three reducer modes side by side:
+    Where ``fig30f`` priced one unbucketed sync all-reduce, this sweep runs
+    :class:`~repro.core.distributed.ShardedHotlineTrainer` with
+    row-partitioned embedding tables and a small bucket size (64 KiB) so
+    the dense all-reduce spans several buckets.  For every node count it
+    reports the three reducer modes side by side:
 
     * ``sync`` — all bucket wire time exposed after backward;
     * ``overlap`` — buckets pipeline behind backward, only the tail is

@@ -582,8 +582,8 @@ class TieredEmbeddingStore:
 
             dma = DMAEngine()
         # One tier is typically shared by every replica's tables (it models
-        # one device memory), and replicas may step on a thread pool — all
-        # mutation happens under this lock.
+        # one device memory); all mutation happens under this lock, so
+        # lookups from more than one thread keep its counters consistent.
         self._lock = threading.Lock()
         self.rows_per_table = tuple(int(rows) for rows in rows_per_table)
         self.dim = int(dim)

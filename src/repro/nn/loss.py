@@ -37,6 +37,7 @@ be recycled.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -139,9 +140,22 @@ def fused_bce_epilogue(
     Returns:
         ``(loss_sum, grad_logits)`` where ``grad_logits = sigmoid(z) - y``
         (the ``reduction="sum"`` gradient), a fresh 1-D array.
+
+    Raises:
+        FloatingPointError: The summed loss is not finite (a ``nan`` or
+            infinite logit), so training never steps on it.
     """
     if _FORCE_REFERENCE:
-        return reference_epilogue(logits, targets)
+        loss, grad = reference_epilogue(logits, targets)
+    else:
+        loss, grad = _fused_epilogue(logits, targets)
+    if not math.isfinite(loss):
+        raise FloatingPointError(f"non-finite training loss {loss}")
+    return loss, grad
+
+
+def _fused_epilogue(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
+    """The one-pass kernel behind :func:`fused_bce_epilogue`."""
     z = np.asarray(logits)
     if z.dtype not in (np.float32, np.float64):
         z = z.astype(np.float64)

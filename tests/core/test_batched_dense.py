@@ -15,8 +15,10 @@ retained sequential path.  This grid proves it:
   small-matrix kernel actually diverges from the blocked path and the
   per-shape certification (:func:`repro.nn.gemm.packed_rows_threshold`)
   has to route individual layers to their per-segment fallback.
-* Replica-stacked vs per-replica sync training at K ∈ {1, 2, 4}:
-  bitwise-equal losses, final parameters, and zero replica drift.
+* The sharded trainer's replica-stacked dense pass vs the per-replica
+  sequential oracle (:class:`repro.reference.SequentialShardedTrainer`)
+  at K ∈ {1, 2, 4} in sync mode, and in stale-1 mode: bitwise-equal
+  losses, final parameters, and zero replica drift.
 
 Every grid runs at both numeric widths: the plain tests train the default
 float32 configs (``dtype_bytes=4``), the ``_float64`` twins the same grids
@@ -36,6 +38,7 @@ from repro.models.dlrm import DLRM
 from repro.models.tbsm import TBSM
 from repro.nn.gemm import NEVER_PACKED, PackedMLP, packed_rows_threshold, segment_bounds
 from repro.nn.mlp import MLP
+from repro.reference import SequentialShardedTrainer
 
 
 def whole(batch_size):
@@ -188,13 +191,13 @@ def test_packed_pass_is_deterministic_across_block_heights(tiny_model_config, ti
 # --------------------------------------------------------------------- #
 # Replica-stacked sync GEMMs
 # --------------------------------------------------------------------- #
-def run_sharded(config, log, num_shards, *, batched, dense_batching, steps=6):
-    trainer = ShardedHotlineTrainer(
+def run_sharded(config, log, num_shards, *, trainer_cls, batched, mode="sync", steps=6):
+    trainer = trainer_cls(
         DLRM(config, seed=9, batched=batched),
         num_shards,
         lr=0.1,
         sample_fraction=0.25,
-        dense_batching=dense_batching,
+        mode=mode,
     )
     loader = MiniBatchLoader(log, batch_size=128)
     trainer.bind(loader)
@@ -209,11 +212,11 @@ def test_replica_stacked_matches_per_replica(
     """Stacking K sync replicas into one GEMM changes no observable bit."""
     baseline, losses_ref = run_sharded(
         tiny_model_config, tiny_click_log, num_shards,
-        batched=False, dense_batching="per-replica",
+        trainer_cls=SequentialShardedTrainer, batched=False,
     )
     stacked, losses_stacked = run_sharded(
         tiny_model_config, tiny_click_log, num_shards,
-        batched=True, dense_batching="replica",
+        trainer_cls=ShardedHotlineTrainer, batched=True,
     )
     assert losses_stacked == losses_ref
     assert stacked.replica_drift() == 0.0
@@ -233,42 +236,23 @@ def test_replica_stacked_matches_per_replica_float64(
     test_replica_stacked_matches_per_replica(tiny_model_config_f64, tiny_click_log, num_shards)
 
 
-def test_replica_stacking_requires_sync_mode(tiny_model_config):
-    with pytest.raises(ValueError, match="dense_batching"):
-        ShardedHotlineTrainer(
-            DLRM(tiny_model_config, seed=9), 2, dense_batching="global"
-        )
-
-
-def test_stale_mode_falls_back_per_replica(tiny_model_config, tiny_click_log):
-    """stale-k weights diverge, so the stacked dispatch must not engage —
-    the run must match the per-replica dense path bit for bit."""
-    stale_default, losses_default = run_sharded_stale(
-        tiny_model_config, tiny_click_log, dense_batching="replica"
+def test_stale_mode_stacked_matches_per_replica(tiny_model_config, tiny_click_log):
+    """Replicas stay bit-identical under stale-k too, so the stacked pass
+    serves that mode as well — matching the per-replica oracle bit for bit."""
+    stale_stacked, losses_stacked = run_sharded(
+        tiny_model_config, tiny_click_log, 2,
+        trainer_cls=ShardedHotlineTrainer, batched=True, mode="stale-1",
     )
-    stale_off, losses_off = run_sharded_stale(
-        tiny_model_config, tiny_click_log, dense_batching="per-replica"
+    stale_ref, losses_ref = run_sharded(
+        tiny_model_config, tiny_click_log, 2,
+        trainer_cls=SequentialShardedTrainer, batched=True, mode="stale-1",
     )
-    assert losses_default == losses_off
-    state_a = stale_default.replicas[0].model.state_snapshot()
-    state_b = stale_off.replicas[0].model.state_snapshot()
+    assert losses_stacked == losses_ref
+    assert stale_stacked.replica_drift() == 0.0
+    state_a = stale_stacked.replicas[0].model.state_snapshot()
+    state_b = stale_ref.replicas[0].model.state_snapshot()
     for key, value in state_a.items():
         np.testing.assert_array_equal(state_b[key], value, err_msg=key)
-
-
-def run_sharded_stale(config, log, *, dense_batching, steps=6):
-    trainer = ShardedHotlineTrainer(
-        DLRM(config, seed=9, batched=True),
-        2,
-        lr=0.1,
-        sample_fraction=0.25,
-        mode="stale-1",
-        dense_batching=dense_batching,
-    )
-    loader = MiniBatchLoader(log, batch_size=128)
-    trainer.bind(loader)
-    losses = [trainer.run_step(batch).loss for batch in list(loader)[:steps]]
-    return trainer, losses
 
 
 # --------------------------------------------------------------------- #

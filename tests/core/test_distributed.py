@@ -311,7 +311,7 @@ def test_bucket_time_cache_invalidates_on_reducer_reconfiguration(tiny_model_con
 def test_merged_trainer_sync_time_cache_keyed_on_configuration(tiny_model_config):
     """The merged reference's cached collective re-prices when the cluster
     (or shard count) changes instead of reporting the old constant."""
-    from repro.core.distributed import MergedGradientShardedTrainer
+    from repro.reference import MergedGradientShardedTrainer
 
     trainer = MergedGradientShardedTrainer(DLRM(tiny_model_config, seed=0), 4)
     single_node_time = trainer.dense_sync_time()

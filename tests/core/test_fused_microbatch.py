@@ -10,6 +10,8 @@ at every layer — the raw kernels, the model-level
 ``fused_loss_and_gradients`` on DLRM and TBSM, the single-replica
 :class:`HotlineTrainer`, and the multi-replica
 :class:`ShardedHotlineTrainer` including the stale-0 + lookahead fast path.
+The trainers are compared against the sequential oracles in
+:mod:`repro.reference` (one gather, forward and backward per µ-batch).
 Model and trainer parity runs at both numeric widths: the plain tests
 train the default float32 configs, the ``_float64`` twins
 ``dtype_bytes=8``.
@@ -25,6 +27,7 @@ from repro.data.loader import MiniBatchLoader
 from repro.models.dlrm import DLRM
 from repro.models.tbsm import TBSM
 from repro.nn.embedding import EmbeddingBag, segment_ids_for, segmented_scatter
+from repro.reference import SequentialHotlineTrainer, SequentialShardedTrainer
 
 
 def assert_bit_identical(state_a, state_b):
@@ -188,9 +191,8 @@ def test_fused_rejects_bad_segments(tiny_model_config, tiny_click_log):
 # Trainer level
 # --------------------------------------------------------------------- #
 def hotline_run(model_cls, config, log, *, fused):
-    trainer = HotlineTrainer(
-        model_cls(config, seed=31), lr=0.1, sample_fraction=0.25, fused=fused
-    )
+    trainer_cls = HotlineTrainer if fused else SequentialHotlineTrainer
+    trainer = trainer_cls(model_cls(config, seed=31), lr=0.1, sample_fraction=0.25)
     result = trainer.train(
         MiniBatchLoader(log, batch_size=128), epochs=2, eval_batch=log.batch(0, 256)
     )
@@ -247,9 +249,8 @@ def test_hotline_fused_handles_single_segment_steps(tiny_model_config, tiny_clic
 
 def sharded_run(config, log, *, fused, num_shards=2, **knobs):
     model = DLRM(config, seed=17)
-    trainer = ShardedHotlineTrainer(
-        model, num_shards, lr=0.05, sample_fraction=0.25, fused=fused, **knobs
-    )
+    trainer_cls = ShardedHotlineTrainer if fused else SequentialShardedTrainer
+    trainer = trainer_cls(model, num_shards, lr=0.05, sample_fraction=0.25, **knobs)
     result = trainer.train(
         MiniBatchLoader(log, batch_size=128), epochs=1, eval_batch=log.batch(0, 256)
     )

@@ -5,8 +5,8 @@ training K genuinely separate model replicas synchronised through the
 bucketed :class:`~repro.core.reducer.GradientBucketReducer` and the
 deterministic sparse exchange is **bit-identical** — losses and every
 parameter — to the PR 2 merged-gradient trainer
-(:class:`~repro.core.distributed.MergedGradientShardedTrainer`), which
-accumulated all shards' gradients in one shared model.  Verified for
+(:class:`repro.reference.MergedGradientShardedTrainer`), which
+accumulates all shards' gradients in one shared model.  Verified for
 K ∈ {1, 2, 4} on DLRM and TBSM, with and without row-partitioned embedding
 tables, and the replicas themselves are asserted to never drift.
 
@@ -26,10 +26,11 @@ train the default float32 configs, the ``_float64`` twins
 import numpy as np
 import pytest
 
-from repro.core.distributed import MergedGradientShardedTrainer, ShardedHotlineTrainer
+from repro.core.distributed import ShardedHotlineTrainer
 from repro.data.loader import MiniBatchLoader
 from repro.models.dlrm import DLRM
 from repro.models.tbsm import TBSM
+from repro.reference import MergedGradientShardedTrainer
 
 
 def merged_run(model_cls, config, log, num_shards, *, lr=0.05, epochs=1):
@@ -107,69 +108,6 @@ def test_sync_replicas_bit_identical_to_merged_tbsm_float64(
     test_sync_replicas_bit_identical_to_merged_tbsm(
         tiny_ts_model_config_f64, tiny_ts_click_log, num_shards
     )
-
-
-@pytest.mark.parametrize("num_shards", [1, 2, pytest.param(4, marks=pytest.mark.slow)])
-@pytest.mark.parametrize("workers", [1, 2, 4])
-def test_parallel_workers_bit_identical_dlrm(
-    tiny_model_config, tiny_click_log, num_shards, workers
-):
-    """Thread-pooled replica stepping never moves a bit: for every K x
-    ``parallel_workers`` combination the run matches the merged-gradient
-    reference exactly — partials are collected per replica index and the
-    loss fold / reduce / exchange stay on the caller thread in replica
-    order, so the schedule parallelises but the arithmetic order doesn't."""
-    merged_model, merged_result = merged_run(
-        DLRM, tiny_model_config, tiny_click_log, num_shards
-    )
-    replica_model, replica_result, trainer = replicated_run(
-        DLRM, tiny_model_config, tiny_click_log, num_shards, parallel_workers=workers
-    )
-    assert replica_result.losses == merged_result.losses
-    assert_bit_identical(merged_model.state_snapshot(), replica_model.state_snapshot())
-    assert replica_result.final_metrics == merged_result.final_metrics
-    assert trainer.replica_drift() == 0.0
-    # The per-replica wall times surfaced through the engine cover every
-    # shard of every step.
-    assert len(replica_result.replica_time_s) == num_shards
-    assert all(t > 0.0 for t in replica_result.replica_time_s)
-
-
-@pytest.mark.parametrize("workers", [2, 4])
-def test_parallel_workers_bit_identical_tbsm(
-    tiny_ts_model_config, tiny_ts_click_log, workers
-):
-    """The TBSM step (history table + pooled tables) shares the guarantee."""
-    merged_model, merged_result = merged_run(
-        TBSM, tiny_ts_model_config, tiny_ts_click_log, 2
-    )
-    replica_model, replica_result, trainer = replicated_run(
-        TBSM, tiny_ts_model_config, tiny_ts_click_log, 2, parallel_workers=workers
-    )
-    assert replica_result.losses == merged_result.losses
-    assert_bit_identical(merged_model.state_snapshot(), replica_model.state_snapshot())
-    assert trainer.replica_drift() == 0.0
-
-
-def test_parallel_workers_pool_is_released_by_finalize(
-    tiny_model_config, tiny_click_log
-):
-    """finalize() shuts the replica pool down (no thread leak across
-    trainers) and stepping afterwards lazily rebuilds it."""
-    import threading
-
-    _, _, trainer = replicated_run(
-        DLRM, tiny_model_config, tiny_click_log, 2, parallel_workers=2
-    )
-    assert trainer._pool is None  # engine's finalize() already ran
-    alive = [t.name for t in threading.enumerate() if "replica-step" in t.name]
-    assert not alive
-    batch = tiny_click_log.batch(0, 128)
-    loss_after, _ = trainer.train_step(batch)
-    assert trainer._pool is not None  # rebuilt on demand
-    assert loss_after > 0.0
-    trainer.finalize()
-    assert trainer._pool is None
 
 
 def test_parity_survives_bucket_size(tiny_model_config, tiny_click_log):

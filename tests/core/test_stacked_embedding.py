@@ -36,6 +36,7 @@ from repro.nn.embedding import (
     segmented_scatter,
     stacked_segmented_scatter,
 )
+from repro.reference import SequentialHotlineTrainer
 
 
 def make_tables(rows=(16, 8, 4), dim=4):
@@ -156,7 +157,8 @@ def test_stacked_dlrm_training_bit_identical(
     results = {}
     for stacked in (False, True):
         model = DLRM(tiny_model_config, seed=9, stacked=stacked)
-        trainer = HotlineTrainer(model, lr=0.05, sample_fraction=0.25, fused=fused)
+        trainer_cls = HotlineTrainer if fused else SequentialHotlineTrainer
+        trainer = trainer_cls(model, lr=0.05, sample_fraction=0.25)
         result = trainer.train(
             MiniBatchLoader(tiny_click_log, batch_size=128),
             epochs=1,

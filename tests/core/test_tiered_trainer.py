@@ -23,6 +23,7 @@ import pytest
 from repro.core.distributed import ShardedHotlineTrainer
 from repro.data.loader import MiniBatchLoader
 from repro.models.dlrm import DLRM
+from repro.models.tbsm import TBSM
 
 
 def run_trainer(config, log, **kwargs):
@@ -161,6 +162,20 @@ def test_tiered_hot_bytes_rejects_negative(tiny_model_config):
     with pytest.raises(ValueError, match="tiered_hot_bytes"):
         ShardedHotlineTrainer(
             DLRM(tiny_model_config, seed=0), 2, tiered_hot_bytes=-1.0
+        )
+
+
+@pytest.mark.parametrize("model_cls, config_fixture", [
+    (DLRM, "tiny_model_config"),
+    (TBSM, "tiny_ts_model_config"),
+])
+def test_tiered_hot_bytes_rejects_stacked_model(model_cls, config_fixture, request):
+    """A stacked model's fused gather reads the stacked store directly and
+    would bypass the tier, leaving its counters silently at zero."""
+    config = request.getfixturevalue(config_fixture)
+    with pytest.raises(ValueError, match="stacked"):
+        ShardedHotlineTrainer(
+            model_cls(config, seed=0, stacked=True), 2, tiered_hot_bytes=1024.0
         )
 
 

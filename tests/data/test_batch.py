@@ -32,6 +32,15 @@ def test_shape_validation():
         MiniBatch(rng.normal(size=(4, 2)), rng.integers(0, 5, size=(3, 2, 1)), np.zeros(4))
 
 
+def test_negative_sparse_ids_rejected():
+    """A negative id would silently read row ``num_rows - 1`` of a table."""
+    sparse = np.array([[[-1]], [[3]]])
+    with pytest.raises(ValueError, match="non-negative"):
+        MiniBatch(np.zeros((2, 1)), sparse, np.zeros(2))
+    # An empty batch has no ids to check.
+    assert MiniBatch(np.zeros((0, 1)), np.zeros((0, 1, 1), np.int64), np.zeros(0)).size == 0
+
+
 def test_select_preserves_alignment():
     batch = make_batch()
     subset = batch.select(np.array([1, 3]))

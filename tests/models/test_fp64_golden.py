@@ -5,6 +5,9 @@ regardless of ``ModelConfig.dtype_bytes``.  Training the same fig18-shaped
 DLRM (one Hotline trainer) and Taobao-shaped TBSM (K=4 stale-2 replicas
 with a lookahead cache) at ``dtype_bytes=8`` must reproduce them, so the
 float64 path is the same code as before, only selected by the config.
+The fig18-shaped DLRM on K=4 ``stale-1`` and ``overlap`` replicas was
+pinned later, while sharded stale-k steps still ran one dense pass per
+replica; it pins that they now run as one stacked pass, bit for bit.
 
 Two checks, because bit-exact float64 results depend on the host:
 
@@ -45,6 +48,8 @@ RTOL = 1e-12
 
 DLRM_GOLDEN = "f0ba64f70cf9b8164b92c7d52833812820cd802a588a6df48f35950b98ee8d45"
 TBSM_GOLDEN = "0cb527f5b367b5ea46d39d473770fa59befdf483793708f2d627a15f37a4631c"
+DLRM_STALE1_GOLDEN = "090dd77d40955fb10590a3c3ac17ce655ab45dadb9ffc40420b4a51736774c1a"
+DLRM_OVERLAP_GOLDEN = "ed46b6f28829076fae2de8f4badd3508bf6bdd5f25f158ae5a3e88b22140d55b"
 
 #: The numpy, BLAS, OpenBLAS core and numpy SIMD extensions the digests
 #: were pinned with (a 2-core x86-64 Xeon).
@@ -90,6 +95,50 @@ TBSM_PARAMETER_NORMS = (
     0.1441951106372392, 6.345543794603504, 0.27873806901262793,
     1.4552654273340506, 0.2931590140033791, 2.311109779782743,
     2.3086993141719785, 2.284864541734591,
+)
+DLRM_STALE1_LOSSES = (
+    170.4809967906215, 173.24560926609666, 167.11443192532397,
+    165.3836153369416, 169.24891000871315, 165.41706514153233,
+    155.48275479378003, 168.2056277120128, 166.95195817878954,
+    161.26397149919376, 164.2489335111795, 166.7928235462619,
+)
+DLRM_STALE1_PARAMETER_NORMS = (
+    5.067069047211397, 0.015853366067832, 18.465298745851953,
+    0.018706147518770564, 10.122021019719469, 0.021094608030929697,
+    5.185280617262321, 0.020381869934119185, 20.67234992963466,
+    0.06933480205895473, 18.43200863585885, 0.11312038762703028,
+    1.4350673710891, 0.14241956919350732, 2.3114544231690966,
+    2.3055147266050993, 2.3211578414046, 2.3361214996512847,
+    2.3324326916789446, 2.330656744825123, 2.2066237559878243,
+    2.2716561457563933, 2.4240473399434848, 2.3325914962759806,
+    2.4042107527071557, 2.425342800970993, 2.481103960477286,
+    2.3081781501157934, 2.3079572748245876, 2.324834316299926,
+    2.2777057608073807, 2.344807101923334, 2.263801809272441,
+    2.323963178200147, 2.325801695533213, 2.2643023315445245,
+    2.445612542474898, 2.3615371344101743, 2.1577409202639886,
+    2.2622487350545533,
+)
+DLRM_OVERLAP_LOSSES = (
+    170.4809967906215, 169.86499603205468, 165.7978947217397,
+    164.79684159210268, 169.11341782140227, 165.66018598469907,
+    155.7910531281479, 168.42586055874767, 166.5579633429652,
+    161.34059404379352, 164.02422434754666, 166.59711939102007,
+)
+DLRM_OVERLAP_PARAMETER_NORMS = (
+    5.067385918531698, 0.016593546640136975, 18.465377645435627,
+    0.01964484958496625, 10.122185741633308, 0.02224641347897343,
+    5.185640877531462, 0.020897992261094865, 20.67251458502036,
+    0.06814264151107272, 18.43213782932352, 0.1094143044038161,
+    1.4382360650825303, 0.136005508883208, 2.3114587942330576,
+    2.305509256759632, 2.3211710803607706, 2.336112476743724,
+    2.332481635007557, 2.330714409281658, 2.2065681556405483,
+    2.271712592536927, 2.424184185685234, 2.3326280902132632,
+    2.404447460228283, 2.425523298948106, 2.481168204378855,
+    2.308165049492923, 2.3079573179852075, 2.324822798497229,
+    2.2777331076759104, 2.3447555496240975, 2.2640107074799616,
+    2.3240858073285633, 2.325853295676937, 2.264334195339065,
+    2.4457706478171106, 2.361719317854195, 2.157971536730102,
+    2.262329062355189,
 )
 
 
@@ -152,6 +201,13 @@ def _taobao_run():
     return _train(trainer, config, 256, 6)
 
 
+@cache
+def _dlrm_k4_run(mode: str):
+    config = replace(RM2.scaled(max_rows_per_table=1200), dtype_bytes=8)
+    trainer = ShardedHotlineTrainer(DLRM(config, seed=5), 4, lr=0.3, mode=mode)
+    return _train(trainer, config, 256, 6)
+
+
 RUNS = {
     "fig18-dlrm": (_fig18_run, DLRM_LOSSES, DLRM_PARAMETER_NORMS, DLRM_GOLDEN),
     "taobao-tbsm-k4-stale2-lookahead": (
@@ -159,6 +215,18 @@ RUNS = {
         TBSM_LOSSES,
         TBSM_PARAMETER_NORMS,
         TBSM_GOLDEN,
+    ),
+    "fig18-dlrm-k4-stale1": (
+        lambda: _dlrm_k4_run("stale-1"),
+        DLRM_STALE1_LOSSES,
+        DLRM_STALE1_PARAMETER_NORMS,
+        DLRM_STALE1_GOLDEN,
+    ),
+    "fig18-dlrm-k4-overlap": (
+        lambda: _dlrm_k4_run("overlap"),
+        DLRM_OVERLAP_LOSSES,
+        DLRM_OVERLAP_PARAMETER_NORMS,
+        DLRM_OVERLAP_GOLDEN,
     ),
 }
 
@@ -186,3 +254,5 @@ if __name__ == "__main__":  # prints this host and the digests to pin
     print(_host())
     print(_digest(*_fig18_run()))
     print(_digest(*_taobao_run()))
+    print(_digest(*_dlrm_k4_run("stale-1")))
+    print(_digest(*_dlrm_k4_run("overlap")))

@@ -135,6 +135,17 @@ def test_fused_epilogue_shape_mismatch_raises():
         fused_bce_epilogue(np.zeros(3), np.zeros(4))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_fused_epilogue_rejects_non_finite_loss(bad):
+    logits = np.array([0.5, bad])
+    targets = np.array([1.0, 0.0])
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            fused_bce_epilogue(logits, targets)
+        with force_reference(), pytest.raises(FloatingPointError):
+            fused_bce_epilogue(logits, targets)
+
+
 def test_force_reference_routes_to_two_pass_pair(rng):
     logits = rng.normal(size=8)
     targets = (rng.uniform(size=8) < 0.5).astype(float)
